@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"pared/internal/core"
 	"pared/internal/fem"
 	"pared/internal/graph"
 	"pared/internal/meshgen"
@@ -44,37 +43,35 @@ func main() {
 	traceOn := flag.Bool("trace", false, "emit per-phase timings from every rank")
 	flag.Parse()
 
-	var repart pared.Repartitioner
-	sfcMode := false
-	hierMode := false
-	distRefine := false
+	// The pipelines are selected by mode alone; rsb and mlkl replace the
+	// coordinator's P3 repartitioner.
+	cfg := pared.Config{
+		ImbalanceTrigger: *trigger,
+		Topology:         pared.Topology{InterNodePenalty: *penalty},
+	}
 	switch *algo {
-	case "sfc":
-		sfcMode = true
-	case "hier":
-		hierMode = true
-	case "distrefine":
-		// Leave Repartition nil: DistRefine applies to the default
-		// repartitioner only, and the engine wires its communicator in.
-		distRefine = true
 	case "pnr":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
-			return core.Repartition(g, old, np, core.Config{})
-		}
+		cfg.Mode = pared.ModePNR
+	case "distrefine":
+		cfg.Mode = pared.ModeDistRefine
+	case "sfc":
+		cfg.Mode = pared.ModeSFC
+	case "hier":
+		cfg.Mode = pared.ModeHier
 	case "rsb":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
+		cfg.Repartition = func(g *graph.Graph, old []int32, np int) []int32 {
 			return rsb.Partition(g, np, rsb.Config{})
 		}
 	case "mlkl":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
+		cfg.Repartition = func(g *graph.Graph, old []int32, np int) []int32 {
 			return mlkl.Partition(g, np, mlkl.Config{})
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "pared: unknown algorithm %q\n", *algo)
 		os.Exit(2)
 	}
-	topology := pared.Topology{InterNodePenalty: *penalty}
 	if *topo != "" {
+		topology := &cfg.Topology
 		if n, err := fmt.Sscanf(*topo, "%dx%d", &topology.Nodes, &topology.CoresPerNode); n != 2 || err != nil {
 			fmt.Fprintf(os.Stderr, "pared: -topo wants NxC (e.g. 4x2), got %q\n", *topo)
 			os.Exit(2)
@@ -83,6 +80,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pared: -topo %s does not factor %d ranks\n", *topo, *p)
 			os.Exit(2)
 		}
+	}
+	if *traceOn {
+		cfg.Trace = par.NewPrinter(os.Stderr).Println
 	}
 
 	estimator := func(step int) refine.Estimator {
@@ -104,18 +104,7 @@ func main() {
 	}
 
 	m0 := meshgen.RectTri(*grid, *grid, -1, -1, 1, 1)
-	tracePrinter := par.NewPrinter(os.Stderr)
 	err := par.Run(*p, func(c *par.Comm) {
-		cfg := pared.Config{Repartition: repart, ImbalanceTrigger: *trigger, DistRefine: distRefine}
-		if sfcMode {
-			cfg = pared.Config{Mode: pared.ModeSFC, ImbalanceTrigger: *trigger}
-		}
-		if hierMode {
-			cfg = pared.Config{Mode: pared.ModeHier, Topology: topology, ImbalanceTrigger: *trigger}
-		}
-		if *traceOn {
-			cfg.Trace = tracePrinter.Println
-		}
 		e := pared.BootstrapWith(c, m0, cfg)
 		var totalMoved int64
 		for step := 0; step < *steps; step++ {

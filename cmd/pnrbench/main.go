@@ -46,8 +46,8 @@ type benchRecord struct {
 	AllocBytes uint64  `json:"alloc_bytes"`
 	// Engine-phase breakdown (engine records only): rank 0 wall time in P1
 	// (local weights), P2 (gather or distributed scan) and P3 (repartition +
-	// migrate), and which rebalance pipeline ran ("incremental", "scratch",
-	// "sfc" or "mlkl").
+	// migrate), and which rebalance pipeline ran ("incremental", "sfc",
+	// "mlkl", "distrefine" or "hier").
 	P1Ms          float64 `json:"p1_ms,omitempty"`
 	P2Ms          float64 `json:"p2_ms,omitempty"`
 	P3Ms          float64 `json:"p3_ms,omitempty"`
@@ -66,14 +66,14 @@ type benchRecord struct {
 // flag's validation, the record names, and the `-mode all` expansion are all
 // derived from it, so registering a new mode here is sufficient for it to
 // appear everywhere (the old hand-built list let a new mode be silently
-// dropped from `all`). An empty emode resolves against -scratch at run time.
+// dropped from `all`).
 var engineModes = []struct {
 	mode   string // -mode value selecting this run
 	record string // benchmark record name
-	emode  string // experiments engine mode ("" = incremental/scratch per -scratch)
+	emode  string // experiments engine mode (see experiments.EngineDemo)
 	threeD bool   // drive EngineDemo3D instead of EngineDemo
 }{
-	{mode: "pnr", record: "engine"},
+	{mode: "pnr", record: "engine", emode: "incremental"},
 	{mode: "sfc", record: "engine_sfc", emode: "sfc"},
 	{mode: "sfc", record: "engine_sfc_3d", emode: "sfc", threeD: true},
 	{mode: "mlkl", record: "engine_mlkl", emode: "mlkl"},
@@ -99,7 +99,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced sizes (seconds instead of minutes)")
 	svg := flag.String("svg", "", "directory for SVG mesh renderings (fig1, transient)")
 	jsonOut := flag.String("json", "", "write per-experiment wall time and allocation stats to this JSON file")
-	scratch := flag.Bool("scratch", false, "run the engine experiment on the from-scratch rebalance pipeline instead of the incremental one")
 	mode := flag.String("mode", "all", "engine rebalance mode: pnr|sfc|mlkl|distrefine|hier|all (all emits one record per registered mode)")
 	flag.Parse()
 
@@ -189,24 +188,16 @@ func main() {
 	// The engine experiment runs once per requested rebalance mode — every
 	// registry entry whose mode is selected — each as its own record so
 	// benchguard tracks the pipelines independently.
-	pnrMode := "incremental"
-	if *scratch {
-		pnrMode = "scratch"
-	}
 	for _, er := range engineModes {
 		if *mode != "all" && *mode != er.mode {
 			continue
 		}
-		emode, threeD := er.emode, er.threeD
-		if emode == "" {
-			emode = pnrMode
-		}
 		var ph experiments.EnginePhases
 		run(er.record, func() {
-			if threeD {
-				ph = experiments.EngineDemo3D(w, scale, emode)
+			if er.threeD {
+				ph = experiments.EngineDemo3D(w, scale, er.emode)
 			} else {
-				ph = experiments.EngineDemo(w, scale, emode)
+				ph = experiments.EngineDemo(w, scale, er.emode)
 			}
 		}, "engine")
 		for i := range report.Records {

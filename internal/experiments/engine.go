@@ -16,12 +16,12 @@ import (
 
 // EnginePhases is EngineDemo's cost breakdown: rank 0's cumulative wall time
 // per repartitioning phase, and which rebalance pipeline produced it
-// ("incremental", "scratch", "sfc", "mlkl", "distrefine" or "hier"). Cut is
-// the edge cut after the last rebalance that ran, comparable across modes.
-// The hierarchical pipeline additionally reports the split of P3's
-// repartition time into its two levels (HierAMs + HierBMs, both inside P3Ms)
-// and the cut decomposition Cut = InterCut + IntraCut, where only InterCut
-// crosses node boundaries.
+// ("incremental", "sfc", "mlkl", "distrefine" or "hier"). Cut is the edge
+// cut after the last rebalance that ran, comparable across modes. The
+// hierarchical pipeline additionally reports the split of P3's repartition
+// time into its two levels (HierAMs + HierBMs, both inside P3Ms) and the cut
+// decomposition Cut = InterCut + IntraCut of the same rebalance, where only
+// InterCut crosses node boundaries.
 type EnginePhases struct {
 	P1Ms, P2Ms, P3Ms   float64
 	Mode               string
@@ -31,26 +31,23 @@ type EnginePhases struct {
 }
 
 // engineConfig maps an EngineDemo mode name onto an engine configuration:
-// "incremental" and "scratch" are the PNR pipeline variants, "sfc" the
-// coordinator-free curve pipeline, "mlkl" the coordinator pipeline with the
-// direct multilevel-KL repartitioner substituted for PNR, "distrefine" the
-// incremental pipeline with the refinement sweep distributed across ranks,
-// "hier" the two-level node × core pipeline over sub-communicators (default
-// topology: the most balanced factorization of p).
+// "incremental" (or any unknown name) is ModePNR, "sfc" ModeSFC,
+// "distrefine" ModeDistRefine and "hier" ModeHier (default topology: the
+// most balanced factorization of p). "mlkl" is the one hook: the
+// coordinator pipeline with the direct multilevel-KL repartitioner
+// substituted for PNR.
 func engineConfig(mode string) pared.Config {
 	switch mode {
-	case "scratch":
-		return pared.Config{Scratch: true}
 	case "sfc":
 		return pared.Config{Mode: pared.ModeSFC}
+	case "distrefine":
+		return pared.Config{Mode: pared.ModeDistRefine}
+	case "hier":
+		return pared.Config{Mode: pared.ModeHier}
 	case "mlkl":
 		return pared.Config{Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
 			return mlkl.Partition(g, np, mlkl.Config{})
 		}}
-	case "distrefine":
-		return pared.Config{DistRefine: true}
-	case "hier":
-		return pared.Config{Mode: pared.ModeHier}
 	default:
 		return pared.Config{}
 	}
@@ -60,9 +57,8 @@ func engineConfig(mode string) pared.Config {
 // message passing: goroutine ranks, split-edge exchange, rebalance, tree
 // migration) through a shortened transient run, reporting per-step global
 // state. It demonstrates that the engine's migration behaviour matches the
-// serial-path experiments. mode selects the rebalance pipeline: "incremental"
-// (default PNR), "scratch" (from-scratch PNR reference), "sfc"
-// (coordinator-free curve bands) or "mlkl" (coordinator with direct ML-KL).
+// serial-path experiments. mode selects the rebalance pipeline (see
+// engineConfig).
 func EngineDemo(w io.Writer, scale Scale, mode string) EnginePhases {
 	gridN, steps, p, tol := 16, 8, 4, 1.5e-2
 	if scale == Full {
@@ -106,7 +102,7 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 	ph := EnginePhases{Mode: mode}
 	err := par.Run(p, func(c *par.Comm) {
 		e := pared.BootstrapWith(c, m0, engineConfig(mode))
-		var lastCut int64
+		var last pared.RebalanceStats
 		for step := 0; step < steps; step++ {
 			tt := -0.5 + float64(step)/float64(steps-1)
 			est := fem.InterpolationEstimator(sol(tt))
@@ -119,7 +115,7 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 			before := e.Imbalance()
 			st := e.Rebalance(false)
 			if st.Ran {
-				lastCut = st.CutAfter
+				last = st
 			}
 			if c.Rank() == 0 {
 				t.AddRow(step, fmt.Sprintf("%.2f", tt), ast.GlobalLeaves, ast.Rounds,
@@ -136,10 +132,9 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 			ph.P3Ms = float64(e.Phases.P3.Microseconds()) / 1000
 			ph.HierAMs = float64(e.Phases.HierA.Microseconds()) / 1000
 			ph.HierBMs = float64(e.Phases.HierB.Microseconds()) / 1000
-			ph.InterCut, ph.IntraCut = e.LastInterCut, e.LastIntraCut
 			// The final cut is comparable across modes; for hier it equals
 			// InterCut + IntraCut, and only InterCut crosses node boundaries.
-			ph.Cut = lastCut
+			ph.Cut, ph.InterCut, ph.IntraCut = last.CutAfter, last.InterCut, last.IntraCut
 		}
 	})
 	if err != nil {

@@ -28,8 +28,6 @@ import (
 	"pared/internal/graph"
 	"pared/internal/mesh"
 	"pared/internal/par"
-	"pared/internal/partition"
-	"pared/internal/partition/sfc"
 	"pared/internal/refine"
 )
 
@@ -38,84 +36,95 @@ import (
 // (PNR) is the default; the experiment harness substitutes RSB or ML-KL here.
 type Repartitioner func(g *graph.Graph, old []int32, p int) []int32
 
-// Config tunes the engine.
+// Config tunes the engine. Mode alone selects the rebalance pipeline; every
+// other field names the modes that read it.
 type Config struct {
 	// Mode selects the rebalance pipeline: ModePNR (default) funnels P2/P3
-	// through the coordinator; ModeSFC is the coordinator-free space-filling-
-	// curve pipeline (see sfc.go), which ignores Repartition and Scratch.
+	// through the coordinator, ModeDistRefine replicates them with the
+	// refinement sweep split across ranks, ModeSFC is the coordinator-free
+	// space-filling-curve pipeline (see sfc.go) and ModeHier the node × core
+	// pipeline (see hier.go).
 	Mode RebalanceMode
-	// SFC tunes the ModeSFC pipeline (curve choice, band snapping).
-	SFC sfc.Config
-	// Topology shapes the ModeHier pipeline: the node × core factorization of
-	// the rank count and the inter-node edge penalty. The zero value picks the
-	// most balanced factorization and a penalty of 4. Ignored in other modes.
+	// Topology shapes the levels of ModeHier: the node × core factorization
+	// of the rank count and the inter-node edge penalty. The zero value picks
+	// the most balanced factorization and a penalty of 4. Read by ModeHier
+	// only.
 	Topology Topology
-	// Repartition computes new assignments in P3. Defaults to PNR with the
-	// paper's parameters. Ignored in ModeSFC.
+	// Repartition computes new assignments in P3 of ModePNR, on the
+	// coordinator. Defaults to core.Repartition with the paper's parameters
+	// and a persistent multilevel cache (core.Hierarchy), so epochs under
+	// small weight drift reuse contraction hierarchies. Read by ModePNR only;
+	// the other modes ignore it.
 	Repartition Repartitioner
 	// ImbalanceTrigger invokes repartitioning when the leaf-count imbalance
 	// exceeds this fraction (default 0.05). Rebalance can also be forced.
+	// Read by every mode.
 	ImbalanceTrigger float64
-	// Scratch disables the incremental rebalance pipeline: every epoch sends
-	// full weight reports, rebuilds G from scratch and broadcasts the whole
-	// owner map. Kept as the equivalence reference and for ablation; the
-	// incremental pipeline must produce byte-identical owner maps when its
-	// hierarchy drift trigger fires every call (PNR.RematchEvery = 1).
-	Scratch bool
-	// PNR tunes the default core.Repartition repartitioner; ignored when
-	// Repartition is set. Unless Scratch is set (or a Hierarchy is supplied),
-	// a persistent multilevel cache is installed so epochs under small weight
-	// drift reuse contraction hierarchies (see core.Hierarchy).
-	PNR core.Config
-	// DistRefine distributes the P3 refinement sweep across all ranks
-	// (core.Config.DistRefine over this engine's communicator): instead of
-	// rank 0 repartitioning alone while the others idle, every rank patches a
-	// replicated coarse graph from all-gathered weight deltas and enters
-	// core.Repartition collectively, with the KL sweeps rank-split and
-	// resolved deterministically (see core/distrefine.go). The owner map
-	// comes out byte-identical on every rank with no broadcast, for any rank
-	// count. Applies to the default repartitioner only — ignored when
-	// Repartition is set (a custom Repartitioner would have to be collective)
-	// and in ModeSFC (which has no refinement sweep to distribute).
-	DistRefine bool
 	// Trace, if set, receives one line per engine phase with timings and
-	// volumes (adapt rounds, weight-gather sizes, migration counts).
+	// volumes (adapt rounds, weight-gather sizes, migration counts). Read by
+	// every mode.
 	Trace TraceFunc
-
-	// distActive records that DistRefine was accepted at defaulting time
-	// (default repartitioner, non-SFC mode): the signal rebalancePNR uses to
-	// switch P2/P3 onto the symmetric replicated pipeline.
-	distActive bool
 }
 
-func (c Config) withDefaults(comm *par.Comm) Config {
-	if c.Repartition == nil {
-		pnr := c.PNR
-		if pnr.Hierarchy == nil && !c.Scratch {
-			// Under DistRefine every rank runs Repartition on byte-identical
-			// inputs, so the per-rank caches evolve identically and stay in
-			// lockstep without any exchange.
-			pnr.Hierarchy = core.NewHierarchy()
-		}
-		if c.DistRefine && c.Mode != ModeSFC && c.Mode != ModeHier {
-			pnr.DistRefine = comm
-			c.distActive = true
-		}
-		c.Repartition = func(g *graph.Graph, old []int32, np int) []int32 {
-			return core.Repartition(g, old, np, pnr)
-		}
-	}
+func (c Config) withDefaults() Config {
 	if c.ImbalanceTrigger <= 0 {
 		c.ImbalanceTrigger = 0.05
 	}
-	if c.Mode == ModeHier {
-		c.Topology = c.Topology.withDefaults(comm.Size())
-		if c.Topology.Nodes*c.Topology.CoresPerNode != comm.Size() {
-			panic(fmt.Sprintf("pared: topology %d nodes × %d cores does not factor %d ranks",
-				c.Topology.Nodes, c.Topology.CoresPerNode, comm.Size()))
-		}
-	}
 	return c
+}
+
+// rebalancer is one rebalance pipeline: phases P1–P3 of a Rebalance epoch,
+// from this rank's trees to the new replicated owner map, with the phase
+// durations. Each implementation owns the state it carries between epochs,
+// and SetConfig builds it fresh, so nothing one pipeline cached can leak into
+// another after a mode switch.
+type rebalancer interface {
+	rebalance(e *Engine, st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration)
+}
+
+// newRebalancer builds fresh state for the pipeline cfg.Mode selects.
+func newRebalancer(cfg Config, c *par.Comm) rebalancer {
+	switch cfg.Mode {
+	case ModeSFC:
+		return &sfcState{}
+	case ModeHier:
+		return newHierState(cfg.Topology, c)
+	case ModeDistRefine:
+		// Every rank runs Repartition on byte-identical inputs, so the
+		// per-rank caches evolve identically and stay in lockstep without
+		// any exchange.
+		return &replicated{pnr: core.Config{Hierarchy: core.NewHierarchy(), DistRefine: c}}
+	default:
+		repart := cfg.Repartition
+		if repart == nil {
+			pnr := core.Config{Hierarchy: core.NewHierarchy()}
+			repart = func(g *graph.Graph, old []int32, np int) []int32 {
+				return core.Repartition(g, old, np, pnr)
+			}
+		}
+		return &coordinator{repartition: repart}
+	}
+}
+
+// ownerBuffers is a pipeline's owner-map double buffer: each epoch's map goes
+// into the array Engine.Owner does not hold, so the outgoing map stays intact
+// for the cut stats and migration that read it, and steady state cycles two
+// arrays without allocating.
+type ownerBuffers struct {
+	buf  [2][]int32
+	next int
+}
+
+// take returns the next buffer, resized to n.
+func (o *ownerBuffers) take(n int) []int32 {
+	b := o.buf[o.next]
+	if cap(b) < n {
+		b = make([]int32, n)
+	}
+	b = b[:n]
+	o.buf[o.next] = b
+	o.next ^= 1
+	return b
 }
 
 // gfacet is a facet identified by global vertex IDs (sorted; [2] is the
@@ -140,34 +149,8 @@ type Engine struct {
 	// pending holds remote splits not yet applicable locally.
 	pending map[refine.EdgeSplit]bool
 
-	// Incremental rebalance state. G's topology is invariant for the run —
-	// adaptation changes weights, never the coarse adjacency — so the
-	// coordinator builds the CSR once and ranks report only weight deltas.
-	//
-	// gCache is the cached coarse dual graph: topology from the replicated
-	// coarse mesh, weights accumulated from delta reports. Rank 0 only under
-	// the coordinator pipeline; replicated on every rank under DistRefine
-	// (each rank folds the same all-gathered deltas in the same order, so the
-	// copies stay byte-identical without exchange). lastVW/lastEW are this rank's previous report, the
-	// baseline its next delta is computed against; deltas are additive, so
-	// tree migration needs no special handling — a departed tree is reported
-	// as −last by the old owner and +current by the new one.
-	gCache *graph.Graph
-	lastVW []int64
-	lastEW map[[2]int32]int64
-
-	// sfc caches the curve order and scratch of the ModeSFC pipeline; built
-	// lazily on the first SFC rebalance (see ensureSFC).
-	sfc *sfcState
-	// hier caches the sub-communicators and scratch of the ModeHier pipeline;
-	// built lazily on the first hierarchical rebalance (see ensureHier).
-	hier *hierState
-
-	// LastInterCut and LastIntraCut record the two-level cut decomposition of
-	// the most recent hierarchical rebalance (zero in other modes): total
-	// weight of edges joining different node groups vs. different cores of one
-	// group. Identical on every rank.
-	LastInterCut, LastIntraCut int64
+	// reb is the rebalance pipeline Config.Mode selected, with its state.
+	reb rebalancer
 
 	// CheapSkips counts Rebalance(force=false) calls that returned after the
 	// single fused imbalance probe, before any weight work (see Rebalance).
@@ -204,7 +187,6 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 		Coarse:  coarseMesh,
 		Owner:   append([]int32(nil), owner...),
 		F:       forest.New(coarseMesh.Dim),
-		cfg:     Config{}.withDefaults(c),
 		shared:  make(map[forest.VertexID]bool),
 		pending: make(map[refine.EdgeSplit]bool),
 	}
@@ -224,11 +206,17 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 	}
 	e.R = refine.NewRefiner(e.F)
 	e.rebuildShared()
+	e.SetConfig(Config{})
 	return e
 }
 
-// SetConfig replaces the engine configuration (call on every rank alike).
-func (e *Engine) SetConfig(cfg Config) { e.cfg = cfg.withDefaults(e.Comm) }
+// SetConfig replaces the engine configuration and builds the selected
+// pipeline's state fresh (call on every rank alike). It panics on a
+// ModeHier topology that does not factor the rank count.
+func (e *Engine) SetConfig(cfg Config) {
+	e.cfg = cfg.withDefaults()
+	e.reb = newRebalancer(e.cfg, e.Comm)
+}
 
 // Bootstrap computes an initial partition of the coarse mesh on the
 // coordinator and broadcasts it; every rank then constructs its engine.
@@ -236,13 +224,7 @@ func (e *Engine) SetConfig(cfg Config) { e.cfg = cfg.withDefaults(e.Comm) }
 // processor called the coordinator ... which computes an initial partition
 // and distributes the mesh" (§2).
 func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
-	var owner []int32
-	if c.Rank() == 0 {
-		g := graph.FromDual(coarseMesh)
-		owner = core.Partition(g, c.Size(), core.Config{})
-	}
-	owner = c.Bcast(0, owner).([]int32)
-	return New(c, coarseMesh, owner)
+	return BootstrapWith(c, coarseMesh, Config{})
 }
 
 // rebuildShared recomputes the conservative shard-boundary vertex set from
@@ -469,12 +451,13 @@ type RebalanceStats struct {
 	Imbalance float64
 }
 
-// Rebalance runs phases P1–P3: compute weights, gather at the coordinator,
-// repartition, and migrate trees. If force is false the step is skipped while
-// imbalance is below the configured trigger; the skip is decided on the
-// single fused imbalance probe alone — no weight computation, gather, or
-// extra agreement collective happens first. force must be the same on every
-// rank (the usual SPMD contract; all collectives here assume it anyway).
+// Rebalance runs phases P1–P3 through the pipeline Config.Mode selected —
+// compute weights, bring them together, repartition — and migrates trees.
+// If force is false the step is skipped while imbalance is below the
+// configured trigger; the skip is decided on the single fused imbalance
+// probe alone — no weight computation, gather, or extra agreement collective
+// happens first. force must be the same on every rank (the usual SPMD
+// contract; all collectives here assume it anyway).
 func (e *Engine) Rebalance(force bool) RebalanceStats {
 	var st RebalanceStats
 	imb := e.Imbalance()
@@ -489,31 +472,13 @@ func (e *Engine) Rebalance(force bool) RebalanceStats {
 	}
 	st.Ran = true
 
-	var newOwner []int32
-	var d1, d2, d3 time.Duration
-	if e.cfg.Mode == ModeSFC {
-		// Coordinator-free path: curve-band assignment from a distributed
-		// prefix sum (see sfc.go). No gather, no serial repartitioner.
-		newOwner, d1, d2, d3 = e.rebalanceSFC(&st)
-	} else if e.cfg.Mode == ModeHier {
-		// Two-level path: node-group partition plus concurrent per-group
-		// refinement over sub-communicators (see hier.go).
-		newOwner, d1, d2, d3 = e.rebalanceHier(&st)
-	} else {
-		newOwner, d1, d2, d3 = e.rebalancePNR(&st)
-	}
+	newOwner, d1, d2, d3 := e.reb.rebalance(e, &st)
 
 	// Migrate trees whose owner changed.
 	var moved, movedElems int64
 	dm := timed(func() { moved, movedElems = e.migrate(newOwner) })
 	st.MovedTrees = e.Comm.AllReduceSum(moved)
 	st.MovedElements = e.Comm.AllReduceSum(movedElems)
-	if e.cfg.Mode == ModeSFC && e.sfc != nil {
-		// Swap buffers: the outgoing owner map becomes next epoch's scratch,
-		// so the steady state cycles two arrays and never allocates (and the
-		// cut stats above never read a half-patched map).
-		e.sfc.newOwner = e.Owner
-	}
 	e.Owner = newOwner
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		check.MeshConformal(e.F.LeafMesh().Mesh, "pared.Engine.Rebalance")
@@ -525,99 +490,6 @@ func (e *Engine) Rebalance(force bool) RebalanceStats {
 	e.trace("P3 repartition+migrate: cut %d->%d, sent %d trees (%d elements) in %v+%v, imbalance %.4f",
 		st.CutBefore, st.CutAfter, moved, movedElems, d3, dm, st.Imbalance)
 	return st
-}
-
-// rebalancePNR runs phases P1–P3 of the paper's coordinator pipeline:
-// weights reach rank 0 (full reports in scratch mode, additive deltas in
-// incremental mode), rank 0 repartitions G, and the owner delta comes back.
-func (e *Engine) rebalancePNR(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
-	// --- P1: local weight computation.
-	var rep weightReport
-	d1 = timed(func() { rep = e.localWeights() })
-	e.trace("P1 weights: %d roots, %d edge pairs in %v", len(rep.Roots), len(rep.EdgeR), d1)
-
-	// --- P2: weights reach the coordinator; P3: it repartitions G and the
-	// new assignment comes back. Incremental mode moves deltas both ways;
-	// scratch mode moves full reports and the full owner map. Under
-	// DistRefine (distActive) there is no coordinator: P2 is an all-gather,
-	// every rank holds the whole weighted G, and P3 is a collective
-	// repartition whose owner map materializes replicated — nothing to
-	// broadcast back.
-	if e.cfg.Scratch && e.cfg.distActive {
-		var reports []any
-		d2 = timed(func() {
-			send := make([]any, e.Comm.Size())
-			for i := range send {
-				send[i] = rep
-			}
-			reports = e.Comm.Alltoall(send)
-		})
-		e.trace("P2 allgather: full reports in %v", d2)
-		d3 = timed(func() {
-			g := buildG(e.Coarse.NumElems(), reports)
-			st.CutBefore = partition.EdgeCut(g, e.Owner)
-			newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-			st.CutAfter = partition.EdgeCut(g, newOwner)
-		})
-	} else if e.cfg.Scratch {
-		var reports []any
-		d2 = timed(func() { reports = e.Comm.Gather(0, rep) })
-		e.trace("P2 gather: full reports in %v", d2)
-		d3 = timed(func() {
-			if e.Comm.Rank() == 0 {
-				g := buildG(e.Coarse.NumElems(), reports)
-				st.CutBefore = partition.EdgeCut(g, e.Owner)
-				newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-				st.CutAfter = partition.EdgeCut(g, newOwner)
-			}
-			newOwner = e.Comm.Bcast(0, newOwner).([]int32)
-		})
-		st.CutBefore = e.Comm.Bcast(0, st.CutBefore).(int64)
-		st.CutAfter = e.Comm.Bcast(0, st.CutAfter).(int64)
-	} else if e.cfg.distActive {
-		var deltas [][]int64
-		var nd int
-		d2 = timed(func() {
-			delta := e.deltaReport(rep)
-			nd = len(delta)
-			deltas = e.Comm.AllGatherInt64(delta)
-		})
-		e.trace("P2 allgather: %d delta words in %v", nd, d2)
-		d3 = timed(func() {
-			g := e.coordinatorGraph(deltas)
-			st.CutBefore = partition.EdgeCut(g, e.Owner)
-			newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-			st.CutAfter = partition.EdgeCut(g, newOwner)
-		})
-		e.assertPatchedG(rep)
-		e.trace("P3 replicated repartition: no owner broadcast")
-	} else {
-		var deltas [][]int64
-		var nd int
-		d2 = timed(func() {
-			delta := e.deltaReport(rep)
-			nd = len(delta)
-			deltas = e.Comm.GatherInt64(0, delta)
-		})
-		e.trace("P2 gather: %d delta words in %v", nd, d2)
-		var ownerDelta []int32
-		d3 = timed(func() {
-			if e.Comm.Rank() == 0 {
-				g := e.coordinatorGraph(deltas)
-				st.CutBefore = partition.EdgeCut(g, e.Owner)
-				newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-				st.CutAfter = partition.EdgeCut(g, newOwner)
-				ownerDelta = packOwnerDelta(st.CutBefore, st.CutAfter, e.Owner, newOwner)
-			}
-			ownerDelta = e.Comm.BcastInt32(0, ownerDelta)
-			if e.Comm.Rank() != 0 {
-				newOwner, st.CutBefore, st.CutAfter = unpackOwnerDelta(e.Owner, ownerDelta)
-			}
-		})
-		e.assertPatchedG(rep)
-		e.trace("P3 owner delta: %d moved entries", (len(ownerDelta)-ownerDeltaHeader)/2)
-	}
-	return newOwner, d1, d2, d3
 }
 
 // localWeights computes this rank's contribution to G's weights: leaf counts
@@ -710,203 +582,6 @@ func max32(a, b int32) int32 {
 		return a
 	}
 	return b
-}
-
-// buildG assembles the coarse dual graph from all ranks' weight reports.
-func buildG(numRoots int, reports []any) *graph.Graph {
-	b := graph.NewBuilder(numRoots)
-	for _, a := range reports {
-		rep := a.(weightReport)
-		for i, r := range rep.Roots {
-			b.SetVW(r, rep.VW[i])
-		}
-		for i := range rep.EdgeR {
-			b.AddEdge(rep.EdgeR[i], rep.EdgeS[i], rep.EdgeW[i])
-		}
-	}
-	return b.Build()
-}
-
-// deltaReport turns a full weight report into the incremental P2 payload:
-// only the entries that changed since this rank's previous report, as
-// additive int64 deltas. Layout:
-//
-//	[nRoots, nEdges, (root, Δvw)×nRoots, (r, s, Δew)×nEdges]
-//
-// Deltas are against what THIS rank last reported (including −last for
-// entries it no longer sees), so the coordinator's running sums always equal
-// the global weights regardless of how trees moved between ranks. Entries are
-// emitted in ascending order, keeping the payload byte-stable across runs.
-func (e *Engine) deltaReport(rep weightReport) []int64 {
-	n := e.Coarse.NumElems()
-	if e.lastVW == nil {
-		e.lastVW = make([]int64, n)
-		e.lastEW = make(map[[2]int32]int64)
-	}
-	curVW := make([]int64, n)
-	for i, r := range rep.Roots {
-		curVW[r] = rep.VW[i]
-	}
-	var roots []int64
-	for r := 0; r < n; r++ {
-		if d := curVW[r] - e.lastVW[r]; d != 0 {
-			roots = append(roots, int64(r), d)
-			e.lastVW[r] = curVW[r]
-		}
-	}
-	curEW := make(map[[2]int32]int64, len(rep.EdgeR))
-	for i := range rep.EdgeR {
-		curEW[[2]int32{rep.EdgeR[i], rep.EdgeS[i]}] = rep.EdgeW[i]
-	}
-	keys := make([][2]int32, 0, len(curEW)+len(e.lastEW))
-	for k := range curEW {
-		keys = append(keys, k)
-	}
-	for k := range e.lastEW {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	// Keys present in both maps appear twice; after sorting the duplicates are
-	// adjacent, so the emit loop skips them.
-	var edges []int64
-	for i, k := range keys {
-		if i > 0 && k == keys[i-1] {
-			continue
-		}
-		if d := curEW[k] - e.lastEW[k]; d != 0 {
-			edges = append(edges, int64(k[0]), int64(k[1]), d)
-		}
-	}
-	e.lastEW = curEW
-	out := make([]int64, 0, 2+len(roots)+len(edges))
-	out = append(out, int64(len(roots)/2), int64(len(edges)/3))
-	out = append(out, roots...)
-	out = append(out, edges...)
-	return out
-}
-
-// coordinatorGraph returns this rank's cached coarse dual graph with all
-// ranks' deltas applied — rank 0's under the coordinator pipeline, every
-// rank's under DistRefine (the deltas arrive all-gathered in rank order, so
-// the fold is identical everywhere).
-// The topology is built once from the replicated coarse mesh
-// — G's adjacency is invariant for the run, because adaptation only changes
-// how many leaf pairs realize each coarse facet, never which coarse elements
-// share one — and only the weights are patched thereafter.
-func (e *Engine) coordinatorGraph(deltas [][]int64) *graph.Graph {
-	if e.gCache == nil {
-		full := graph.FromDual(e.Coarse)
-		e.gCache = &graph.Graph{
-			Xadj: full.Xadj,
-			Adj:  full.Adj,
-			VW:   make([]int64, full.N()),
-			EW:   make([]int64, len(full.Adj)),
-		}
-	}
-	g := e.gCache
-	for rank := 0; rank < len(deltas); rank++ {
-		d := deltas[rank]
-		nr, ne := int(d[0]), int(d[1])
-		d = d[2:]
-		for i := 0; i < nr; i++ {
-			g.VW[d[2*i]] += d[2*i+1]
-		}
-		d = d[2*nr:]
-		for i := 0; i < ne; i++ {
-			r, s, dw := int32(d[3*i]), int32(d[3*i+1]), d[3*i+2]
-			patchEdge(g, r, s, dw)
-			patchEdge(g, s, r, dw)
-		}
-	}
-	return g
-}
-
-// patchEdge adds dw to the directed CSR slot (u → v), located by binary
-// search in u's ascending adjacency row. A missing slot means a rank reported
-// adjacency the coarse mesh does not have — the topology invariance the whole
-// incremental pipeline rests on is broken — so it panics loudly.
-//
-//pared:hotpath
-func patchEdge(g *graph.Graph, u, v int32, dw int64) {
-	lo, hi := g.Xadj[u], g.Xadj[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.Adj[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= g.Xadj[u+1] || g.Adj[lo] != v {
-		panic(fmt.Sprintf("pared: weight delta for (%d,%d) but the coarse mesh has no such adjacency", u, v))
-	}
-	g.EW[lo] += dw
-}
-
-// ownerDeltaHeader is the number of int32 words before the (index, owner)
-// pairs in the P3 owner-delta payload: two int64 cut values split hi/lo.
-const ownerDeltaHeader = 4
-
-// packOwnerDelta encodes the repartitioning outcome as the cut values plus
-// only the owner entries that changed; every rank replicates the old owner
-// map, so that is all a broadcast needs to carry.
-func packOwnerDelta(cutBefore, cutAfter int64, old, newOwner []int32) []int32 {
-	out := make([]int32, ownerDeltaHeader, ownerDeltaHeader+16)
-	out[0], out[1] = int32(cutBefore>>32), int32(cutBefore)
-	out[2], out[3] = int32(cutAfter>>32), int32(cutAfter)
-	for i := range newOwner {
-		if newOwner[i] != old[i] {
-			out = append(out, int32(i), newOwner[i])
-		}
-	}
-	return out
-}
-
-// unpackOwnerDelta reconstructs the new owner map (a fresh slice) and cut
-// values from a packOwnerDelta payload and the local copy of the old map.
-func unpackOwnerDelta(old []int32, payload []int32) (newOwner []int32, cutBefore, cutAfter int64) {
-	cutBefore = int64(payload[0])<<32 | int64(uint32(payload[1]))
-	cutAfter = int64(payload[2])<<32 | int64(uint32(payload[3]))
-	newOwner = append([]int32(nil), old...)
-	for i := ownerDeltaHeader; i < len(payload); i += 2 {
-		newOwner[payload[i]] = payload[i+1]
-	}
-	return newOwner, cutBefore, cutAfter
-}
-
-// assertPatchedG cross-checks, under paredassert, that the coordinator's
-// patched graph is byte-identical to the graph built from scratch out of full
-// weight reports — the correctness contract of the incremental pipeline. The
-// extra gather runs on every rank (check.Enabled is a build-wide constant, so
-// the collective order stays consistent).
-func (e *Engine) assertPatchedG(rep weightReport) {
-	if !check.Enabled {
-		return
-	}
-	reports := e.Comm.Gather(0, rep)
-	if e.Comm.Rank() != 0 {
-		return
-	}
-	ref := buildG(e.Coarse.NumElems(), reports)
-	g := e.gCache
-	check.Assertf(len(ref.Xadj) == len(g.Xadj) && len(ref.Adj) == len(g.Adj),
-		"pared: patched G shape differs from scratch build (%d/%d vs %d/%d)",
-		len(g.Xadj), len(g.Adj), len(ref.Xadj), len(ref.Adj))
-	for i := range ref.Xadj {
-		check.Assertf(g.Xadj[i] == ref.Xadj[i], "pared: patched G Xadj[%d] = %d, scratch %d", i, g.Xadj[i], ref.Xadj[i])
-	}
-	for i := range ref.Adj {
-		check.Assertf(g.Adj[i] == ref.Adj[i], "pared: patched G Adj[%d] = %d, scratch %d", i, g.Adj[i], ref.Adj[i])
-		check.Assertf(g.EW[i] == ref.EW[i], "pared: patched G EW[%d] = %d, scratch %d", i, g.EW[i], ref.EW[i])
-	}
-	for i := range ref.VW {
-		check.Assertf(g.VW[i] == ref.VW[i], "pared: patched G VW[%d] = %d, scratch %d", i, g.VW[i], ref.VW[i])
-	}
 }
 
 // migrate sends trees to their new owners and splices in received ones,

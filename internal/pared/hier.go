@@ -29,6 +29,7 @@ package pared
 // the penalty reshapes the objective — which is the point of the knob.)
 
 import (
+	"fmt"
 	"time"
 
 	"pared/internal/core"
@@ -77,17 +78,19 @@ func balancedNodes(p int) int {
 	return best
 }
 
-// hierState caches the sub-communicators and per-epoch scratch of ModeHier;
-// built lazily on the first hierarchical rebalance (see ensureHier).
+// hierState is the ModeHier pipeline: the resolved topology, the delta
+// cache of the replicated G, the sub-communicators (split on the first
+// rebalance) and the per-epoch scratch.
 type hierState struct {
 	nodes, cores int
 	penalty      float64
 	myNode       int32
-	node         *par.Comm // this rank's node group (size cores)
-	leaders      *par.Comm // one rank per node, numbered by node id; nil off-leader
+	node         *par.Comm  // this rank's node group (size cores)
+	leaders      *par.Comm  // one rank per node, numbered by node id; nil off-leader
+	cache        deltaCache // G replicated on every rank
 
 	// Phase A: penalized view of the replicated weighted G. Topology arrays
-	// are shared with gCache; only the edge weights are rescaled per epoch.
+	// are shared with cache.g; only the edge weights are rescaled per epoch.
 	ewA    []int64
 	gA     *graph.Graph
 	hierA  *core.Hierarchy
@@ -113,42 +116,42 @@ type hierState struct {
 	// Owner assembly: leaders build the full map, node comms fan it out, and
 	// every rank copies into its own double buffer (the broadcast aliases the
 	// leader's scratch, which the next epoch overwrites).
-	ownerBuf [2][]int32
-	epoch    int
+	owners ownerBuffers
 }
 
-// ensureHier builds the sub-communicators and phase A scratch on first use.
-// Reaching here is collective (Rebalance is), so the Splits stay symmetric.
-func (e *Engine) ensureHier() *hierState {
-	if e.hier != nil {
-		return e.hier
+// newHierState resolves t against the size of c and returns the pipeline's
+// fresh state. A topology that does not factor the rank count panics here,
+// at configuration time, rather than mid-collective.
+func newHierState(t Topology, c *par.Comm) *hierState {
+	t = t.withDefaults(c.Size())
+	if t.Nodes*t.CoresPerNode != c.Size() {
+		panic(fmt.Sprintf("pared: topology %d nodes × %d cores does not factor %d ranks",
+			t.Nodes, t.CoresPerNode, c.Size()))
 	}
-	t := e.cfg.Topology
-	h := &hierState{
+	return &hierState{
 		nodes:   t.Nodes,
 		cores:   t.CoresPerNode,
 		penalty: t.InterNodePenalty,
-		myNode:  int32(e.Comm.Rank() / t.CoresPerNode),
+		myNode:  int32(c.Rank() / t.CoresPerNode),
 		hierA:   core.NewHierarchy(),
 	}
-	h.node = e.Comm.Split(int64(h.myNode), 0)
-	lcolor := int64(-1)
-	if h.node.Rank() == 0 {
-		lcolor = 0
-	}
-	h.leaders = e.Comm.Split(lcolor, int64(h.myNode))
-	e.hier = h
-	return h
 }
 
-// rebalanceHier runs phases P1–P3 of the hierarchical pipeline.
-func (e *Engine) rebalanceHier(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
-	h := e.ensureHier()
+// rebalance runs phases P1–P3 of the hierarchical pipeline. The first call
+// splits the sub-communicators; reaching here is collective (Rebalance is),
+// so the Splits stay symmetric.
+func (h *hierState) rebalance(e *Engine, st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
+	if h.node == nil {
+		h.node = e.Comm.Split(int64(h.myNode), 0)
+		lcolor := int64(-1)
+		if h.node.Rank() == 0 {
+			lcolor = 0
+		}
+		h.leaders = e.Comm.Split(lcolor, int64(h.myNode))
+	}
 
 	// --- P1: local weight computation (same as the PNR pipeline).
-	var rep weightReport
-	d1 = timed(func() { rep = e.localWeights() })
-	e.trace("P1 weights: %d roots, %d edge pairs in %v (hier)", len(rep.Roots), len(rep.EdgeR), d1)
+	rep, d1 := e.graphWeights(" (hier)")
 
 	// --- P2: hierarchical delta exchange. Each core's additive delta climbs
 	// to its node leader, the N leaders swap combined node payloads, and each
@@ -157,10 +160,10 @@ func (e *Engine) rebalanceHier(st *RebalanceStats) (newOwner []int32, d1, d2, d3
 	var g *graph.Graph
 	var nd int
 	d2 = timed(func() {
-		delta := e.deltaReport(rep)
+		delta := h.cache.report(e.Coarse.NumElems(), rep)
 		nd = len(delta)
 		deltas := h.exchangeDeltas(delta)
-		g = e.coordinatorGraph(deltas)
+		g = h.cache.fold(e.Coarse, deltas)
 	})
 	e.trace("P2 hier exchange: %d delta words in %v", nd, d2)
 
@@ -168,15 +171,14 @@ func (e *Engine) rebalanceHier(st *RebalanceStats) (newOwner []int32, d1, d2, d3
 	var dA, dB time.Duration
 	d3 = timed(func() {
 		st.CutBefore = partition.EdgeCut(g, e.Owner)
-		dA = timed(func() { e.hierPhaseA(g) })
-		dB = timed(func() { newOwner = e.hierPhaseB(g) })
+		dA = timed(func() { h.phaseA(e, g) })
+		dB = timed(func() { newOwner = h.phaseB(e, g) })
 		st.CutAfter = partition.EdgeCut(g, newOwner)
 		st.InterCut, st.IntraCut = partition.TwoLevelCut(g, newOwner, int32(h.cores))
 	})
-	e.assertPatchedG(rep)
+	h.cache.assertPatched(e, rep)
 	e.Phases.HierA += dA
 	e.Phases.HierB += dB
-	e.LastInterCut, e.LastIntraCut = st.InterCut, st.IntraCut
 	e.trace("P3 hier: phase A %v (%d node groups, penalty %.1f), phase B %v (group %d: %d verts), cut %d inter + %d intra",
 		dA, h.nodes, h.penalty, dB, h.myNode, len(h.verts), st.InterCut, st.IntraCut)
 	return newOwner, d1, d2, d3
@@ -227,12 +229,11 @@ func (h *hierState) exchangeDeltas(delta []int64) [][]int64 {
 	return h.views
 }
 
-// hierPhaseA partitions G among the node groups: scale the edge weights by
+// phaseA partitions G among the node groups: scale the edge weights by
 // the inter-node penalty and run the migration-aware repartitioner to N
 // parts, distributed across the whole communicator. The result (h.assign,
 // replicated) maps each vertex to its node group.
-func (e *Engine) hierPhaseA(g *graph.Graph) {
-	h := e.hier
+func (h *hierState) phaseA(e *Engine, g *graph.Graph) {
 	n := g.N()
 	if h.assign == nil {
 		h.assign = make([]int32, n)
@@ -254,18 +255,15 @@ func (e *Engine) hierPhaseA(g *graph.Graph) {
 	for v := 0; v < n; v++ {
 		h.oldA[v] = e.Owner[v] / int32(h.cores)
 	}
-	cfgA := e.cfg.PNR
-	cfgA.Hierarchy = h.hierA
-	cfgA.DistRefine = e.Comm
+	cfgA := core.Config{Hierarchy: h.hierA, DistRefine: e.Comm}
 	copy(h.assign, core.Repartition(h.gA, h.oldA, h.nodes, cfgA))
 }
 
-// hierPhaseB refines each node group's induced subgraph into C parts over the
+// phaseB refines each node group's induced subgraph into C parts over the
 // node sub-communicator (groups run concurrently, collectives span C ranks),
 // then assembles the global owner map: leaders all-gather the per-group
 // results and each node comm fans the full map down.
-func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
-	h := e.hier
+func (h *hierState) phaseB(e *Engine, g *graph.Graph) []int32 {
 	n := g.N()
 	sub := h.induced(g)
 	h.mine = h.mine[:0]
@@ -287,23 +285,15 @@ func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
 			// rule (their old owner's core index on its former node).
 			h.subOld[i] = e.Owner[v] % int32(h.cores)
 		}
-		cfgB := e.cfg.PNR
-		cfgB.Hierarchy = nil // the induced topology changes with membership
-		cfgB.DistRefine = h.node
-		part := core.Repartition(sub, h.subOld, h.cores, cfgB)
+		// No Hierarchy: the induced topology changes with membership.
+		part := core.Repartition(sub, h.subOld, h.cores, core.Config{DistRefine: h.node})
 		for i := range h.verts {
 			h.mine = append(h.mine, base+part[i])
 		}
 	}
 	// Exchange across groups: one leader collective of N lanes, one node-comm
 	// fan-out — the only traffic that crosses node boundaries in P3.
-	buf := h.ownerBuf[h.epoch%2]
-	if cap(buf) < n {
-		buf = make([]int32, n)
-	}
-	buf = buf[:n]
-	h.ownerBuf[h.epoch%2] = buf
-	h.epoch++
+	buf := h.owners.take(n)
 	var full []int32
 	if h.leaders != nil {
 		groups := h.leaders.AllGatherInt32(h.mine)

@@ -186,7 +186,7 @@ func TestHierModeSwitchEpochSequence(t *testing.T) {
 		est := cornerEst(geom.Vec3{X: 1, Y: 1})
 		var owner []int32
 		err := par.Run(4, func(c *par.Comm) {
-			e := BootstrapWith(c, m, Config{DistRefine: true})
+			e := BootstrapWith(c, m, Config{Mode: ModeDistRefine})
 			e.Adapt(est, 0.8, 0, 6)
 			e.Rebalance(true)
 			if err := e.CheckConsistency(); err != nil {
@@ -220,7 +220,7 @@ func TestHierModeSwitchEpochSequence(t *testing.T) {
 			}
 			// Switch back: the flat pipeline must accept the hier-shaped owner
 			// map as its baseline.
-			e.SetConfig(Config{DistRefine: true})
+			e.SetConfig(Config{Mode: ModeDistRefine})
 			e.Adapt(est, 0.8, 0, 6)
 			e.Rebalance(true)
 			if err := e.CheckConsistency(); err != nil {

@@ -8,8 +8,10 @@ import (
 	"pared/internal/core"
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/graph"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/partition"
 )
 
 // epochRecord captures everything an epoch's rebalance decided, for exact
@@ -21,17 +23,18 @@ type epochRecord struct {
 	MovedTrees, MovedEls int64
 }
 
-// runChain drives a 10-epoch adapt/rebalance chain on p ranks under cfg and
-// returns rank 0's per-epoch records plus the final canonical leaf list.
-func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.VertexID) {
+// runChain drives a 10-epoch adapt/rebalance chain on p ranks, each rank's
+// engine bootstrapped under its own cfg() (so per-run state such as a
+// core.Hierarchy is never shared between runs), and returns rank 0's
+// per-epoch records plus the final canonical leaf list.
+func runChain(t *testing.T, p int, cfg func() Config) ([]epochRecord, [][4]forest.VertexID) {
 	t.Helper()
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	est := cornerEst(geom.Vec3{X: 1, Y: 1})
 	var recs []epochRecord
 	var leaves [][4]forest.VertexID
 	err := par.Run(p, func(c *par.Comm) {
-		e := Bootstrap(c, m)
-		e.SetConfig(cfg)
+		e := BootstrapWith(c, m, cfg())
 		for epoch := 0; epoch < 10; epoch++ {
 			e.Adapt(est, 0.8, 0, 7)
 			st := e.Rebalance(epoch%3 != 2) // mix forced and trigger-gated epochs
@@ -39,12 +42,7 @@ func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.Verte
 				panic(err)
 			}
 			if c.Rank() == 0 {
-				recs = append(recs, epochRecord{
-					Ran:       st.Ran,
-					Owner:     append([]int32(nil), e.Owner...),
-					CutBefore: st.CutBefore, CutAfter: st.CutAfter,
-					MovedTrees: st.MovedTrees, MovedEls: st.MovedElements,
-				})
+				recs = append(recs, recordEpoch(st, e.Owner))
 			}
 		}
 		g := e.GatherForest(0)
@@ -56,6 +54,25 @@ func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.Verte
 		t.Fatal(err)
 	}
 	return recs, leaves
+}
+
+// recordEpoch captures a rebalance outcome with a private copy of the owner
+// map.
+func recordEpoch(st RebalanceStats, owner []int32) epochRecord {
+	return epochRecord{
+		Ran:       st.Ran,
+		Owner:     append([]int32(nil), owner...),
+		CutBefore: st.CutBefore, CutAfter: st.CutAfter,
+		MovedTrees: st.MovedTrees, MovedEls: st.MovedElements,
+	}
+}
+
+// pnrConfig returns a ModePNR configuration whose coordinator runs
+// core.Repartition under pnr: how a test reaches the core knobs.
+func pnrConfig(pnr core.Config) Config {
+	return Config{Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
+		return core.Repartition(g, old, np, pnr)
+	}}
 }
 
 func compareChains(t *testing.T, label string, a, b []epochRecord) {
@@ -79,32 +96,56 @@ func compareChains(t *testing.T, label string, a, b []epochRecord) {
 
 // TestIncrementalMatchesScratchDriftAlways is the equivalence contract of the
 // incremental pipeline: with the hierarchy drift trigger firing on every call
-// (RematchEvery = 1), a 10-epoch adapt/rebalance chain through the delta-
-// report, patched-graph, delta-owner path must produce byte-identical owner
-// maps, cut values and migration counts to the scratch pipeline (full
-// reports, fresh graph build, full owner broadcast) every single epoch.
+// (RematchEvery = 1), every epoch of a 10-epoch adapt/rebalance chain through
+// the delta-report, patched-graph, delta-owner path must produce the owner
+// map, cut values and migration counts of the scratch reference the test
+// builds itself — full weight reports gathered at rank 0, G rebuilt with
+// buildG, and a cache-less core.Repartition.
 func TestIncrementalMatchesScratchDriftAlways(t *testing.T) {
 	const p = 4
-	inc, incLeaves := runChain(t, p, Config{PNR: core.Config{RematchEvery: 1}})
-	scr, scrLeaves := runChain(t, p, Config{Scratch: true})
-	compareChains(t, "incremental vs scratch", inc, scr)
-	if len(incLeaves) != len(scrLeaves) {
-		t.Fatalf("final leaf counts differ: %d vs %d", len(incLeaves), len(scrLeaves))
-	}
-	for i := range incLeaves {
-		if incLeaves[i] != scrLeaves[i] {
-			t.Fatalf("final leaf %d differs", i)
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	est := cornerEst(geom.Vec3{X: 1, Y: 1})
+	var inc, ref []epochRecord
+	err := par.Run(p, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		e.SetConfig(pnrConfig(core.Config{Hierarchy: core.NewHierarchy(), RematchEvery: 1}))
+		for epoch := 0; epoch < 10; epoch++ {
+			e.Adapt(est, 0.8, 0, 7)
+			reports := c.Gather(0, e.localWeights())
+			var want epochRecord
+			if c.Rank() == 0 {
+				g := buildG(m.NumElems(), reports)
+				owner := core.Repartition(g, e.Owner, p, core.Config{})
+				want = epochRecord{
+					Ran:       true,
+					Owner:     owner,
+					CutBefore: partition.EdgeCut(g, e.Owner),
+					CutAfter:  partition.EdgeCut(g, owner),
+				}
+				for i := range owner {
+					if owner[i] != e.Owner[i] {
+						want.MovedTrees++
+						want.MovedEls += g.VW[i]
+					}
+				}
+			}
+			st := e.Rebalance(epoch%3 != 2) // mix forced and trigger-gated epochs
+			if err := e.CheckConsistency(); err != nil {
+				panic(err)
+			}
+			if c.Rank() == 0 && st.Ran {
+				inc = append(inc, recordEpoch(st, e.Owner))
+				ref = append(ref, want)
+			}
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ran := 0
-	for _, r := range inc {
-		if r.Ran {
-			ran++
-		}
-	}
-	if ran == 0 {
+	if len(inc) == 0 {
 		t.Fatal("no epoch actually rebalanced; the comparison proved nothing")
 	}
+	compareChains(t, "incremental vs scratch reference", inc, ref)
 }
 
 // TestIncrementalDriftNeverDeterministic pins the other end of the drift
@@ -114,7 +155,9 @@ func TestIncrementalMatchesScratchDriftAlways(t *testing.T) {
 // invariant, and reproduce the serial reference mesh.
 func TestIncrementalDriftNeverDeterministic(t *testing.T) {
 	const p = 4
-	cfg := Config{PNR: core.Config{RematchEvery: math.MaxInt32, DriftFrac: math.Inf(1)}}
+	cfg := func() Config {
+		return pnrConfig(core.Config{Hierarchy: core.NewHierarchy(), RematchEvery: math.MaxInt32, DriftFrac: math.Inf(1)})
+	}
 	base, baseLeaves := runChain(t, p, cfg)
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
@@ -142,8 +185,9 @@ func TestIncrementalDriftNeverDeterministic(t *testing.T) {
 
 // TestRebalanceCheapSkipDoesNoWeightWork proves satellite (b): a skipped
 // Rebalance(force=false) must stop at the fused imbalance probe. The counter
-// records the skip, and lastVW still being nil is white-box proof that the P1
-// weight computation and P2 gather never ran on any rank.
+// records the skip, and the coordinator's delta cache still being empty is
+// white-box proof that the P1 weight computation and P2 gather never ran on
+// any rank.
 func TestRebalanceCheapSkipDoesNoWeightWork(t *testing.T) {
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	err := par.Run(4, func(c *par.Comm) {
@@ -159,11 +203,12 @@ func TestRebalanceCheapSkipDoesNoWeightWork(t *testing.T) {
 		if e.CheapSkips != 3 {
 			panic("skip counter did not record the cheap skips")
 		}
-		if e.lastVW != nil {
+		cache := &e.reb.(*coordinator).cache
+		if cache.lastVW != nil {
 			panic("skip path touched the weight-report machinery")
 		}
 		st := e.Rebalance(true)
-		if !st.Ran || e.lastVW == nil {
+		if !st.Ran || cache.lastVW == nil {
 			panic("forced rebalance should run the full pipeline")
 		}
 		if e.CheapSkips != 3 {

@@ -51,28 +51,36 @@ type RebalanceMode int
 
 const (
 	// ModePNR is the paper's pipeline: weights gathered at the coordinator,
-	// serial (multilevel KL) repartitioning, owner delta broadcast back.
+	// serial (multilevel KL) repartitioning through Config.Repartition, owner
+	// delta broadcast back (see pnr.go).
 	ModePNR RebalanceMode = iota
 	// ModeSFC is the coordinator-free pipeline: Hilbert-order band
 	// partitioning from a distributed prefix sum; every rank computes its own
-	// assignment. Config.Repartition and Config.Scratch are ignored.
+	// assignment.
 	ModeSFC
 	// ModeHier is the hierarchical two-level pipeline (see hier.go): phase A
 	// partitions G among node groups with inter-node edges penalized, phase B
 	// refines each group's induced subgraph over its node sub-communicator.
-	// Config.Topology shapes the levels; Config.Repartition, Config.Scratch
-	// and Config.DistRefine are ignored (the mode is inherently distributed).
+	// Config.Topology shapes the levels.
 	ModeHier
+	// ModeDistRefine is ModePNR's repartitioner without the coordinator:
+	// weight deltas are all-gathered, every rank patches a replicated G, and
+	// core.Repartition runs collectively with its refinement sweeps split
+	// across ranks (core.Config.DistRefine over the engine's communicator;
+	// see pnr.go). The owner map comes out byte-identical on every rank with
+	// no broadcast, for any rank count.
+	ModeDistRefine
 )
 
-// sfcState caches everything derivable from the replicated coarse mesh —
-// curve keys, curve order and its inverse, the unit-weight coarse dual used
-// for cut reporting — plus the per-epoch scratch, so steady-state epochs
+// sfcState is the ModeSFC pipeline. It caches everything derivable from the
+// replicated coarse mesh — curve keys, curve order, the unit-weight coarse
+// dual used for cut reporting — built on the first rebalance (the coarse
+// topology is invariant for the run, so this happens once), plus the
+// per-epoch scratch and the owner double buffer, so steady-state epochs
 // allocate nothing.
 type sfcState struct {
 	keys  []uint64
 	order []int32 // order[k] = element at curve position k
-	pos   []int32 // pos[e] = curve position of element e
 	dual  *graph.Graph
 
 	sortScratch   sfc.SortScratch
@@ -83,21 +91,7 @@ type sfcState struct {
 	delta         []int32 // (root, owner) pairs this rank changed
 	wirePairs     []int64 // fallback payload: (root, weight) pairs
 	fullVW        []int64 // fallback scratch: complete weight vector
-	newOwner      []int32
-}
-
-// ensureSFC builds the cached curve structures on first use. The coarse
-// topology is invariant for the run (adaptation refines trees, never the
-// coarse mesh), so this happens once.
-func (e *Engine) ensureSFC() *sfcState {
-	if e.sfc == nil {
-		s := &sfcState{}
-		s.keys = sfc.Keys(e.Coarse, e.cfg.SFC.Curve)
-		s.order, s.pos = sfc.Order(s.keys)
-		s.dual = graph.FromDual(e.Coarse)
-		e.sfc = s
-	}
-	return e.sfc
+	owners        ownerBuffers
 }
 
 // bandForm reports whether owner is non-decreasing along the curve order —
@@ -115,15 +109,19 @@ func bandForm(order, owner []int32) bool {
 	return true
 }
 
-// rebalanceSFC runs phases P1–P3 of the coordinator-free pipeline and
-// returns the new owner map (read-only view into scratch) plus per-phase
+// rebalance runs phases P1–P3 of the coordinator-free pipeline and returns
+// the new owner map (one of the state's owner buffers) plus per-phase
 // durations. Cut values in st are unit-weight coarse dual cuts — comparable
 // across SFC epochs and with the experiments' coarse-cut metric, but not
 // with PNR's leaf-pair-weighted cut.
-func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
-	s := e.ensureSFC()
+func (s *sfcState) rebalance(e *Engine, st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
+	if s.dual == nil {
+		s.keys = sfc.Keys(e.Coarse, sfc.Hilbert)
+		s.order, _ = sfc.Order(s.keys)
+		s.dual = graph.FromDual(e.Coarse)
+	}
 	p := e.Comm.Size()
-	snap := !e.cfg.SFC.DisableSnap
+	newOwner = s.owners.take(len(e.Owner))
 
 	// --- P1: local weights, in curve order. Roots() is ascending by id and
 	// the radix sort is stable, so equal keys stay id-ordered — the same
@@ -162,7 +160,7 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 
 		// --- P3: place own elements, exchange only the changes.
 		d3 = timed(func() {
-			sfc.AssignLocal(s.localRoots, s.localW, off, total, e.Owner, p, snap, s.localOut)
+			sfc.AssignLocal(s.localRoots, s.localW, off, total, e.Owner, p, true, s.localOut)
 			s.delta = s.delta[:0]
 			for i, r := range s.localRoots {
 				if s.localOut[i] != e.Owner[r] {
@@ -170,19 +168,14 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 				}
 			}
 			all := e.Comm.AllGatherInt32(s.delta)
-			if cap(s.newOwner) < len(e.Owner) {
-				s.newOwner = make([]int32, len(e.Owner))
-			}
-			s.newOwner = s.newOwner[:len(e.Owner)]
-			copy(s.newOwner, e.Owner)
+			copy(newOwner, e.Owner)
 			// Each root is owned by exactly one rank, so the patches are
 			// disjoint and application order cannot matter.
 			for _, pairs := range all {
 				for i := 0; i < len(pairs); i += 2 {
-					s.newOwner[pairs[i]] = pairs[i+1]
+					newOwner[pairs[i]] = pairs[i+1]
 				}
 			}
-			newOwner = s.newOwner
 		})
 		e.trace("P3 band assign: %d moved entries in %v (sfc scan path)", len(s.delta)/2, d3)
 	} else {
@@ -215,14 +208,7 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 		})
 		e.trace("P2 gather: full weights (non-band-form owner) in %v (sfc fallback)", d2)
 		d3 = timed(func() {
-			// The one place the full weight vector is in hand is the one
-			// place weighted cuts are computable.
-			if e.cfg.SFC.WeightedCuts {
-				s.newOwner = sfc.AssignWeighted(s.order, s.fullVW, e.Owner, p, snap, s.newOwner, &s.assignScratch)
-			} else {
-				s.newOwner = sfc.Assign(s.order, s.fullVW, e.Owner, p, snap, s.newOwner, &s.assignScratch)
-			}
-			newOwner = s.newOwner
+			newOwner = sfc.Assign(s.order, s.fullVW, e.Owner, p, true, newOwner, &s.assignScratch)
 		})
 		e.trace("P3 full assign in %v (sfc fallback path)", d3)
 	}
@@ -242,18 +228,14 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 	var owner []int32
 	if cfg.Mode == ModeSFC {
-		keys := sfc.Keys(coarseMesh, cfg.SFC.Curve)
+		keys := sfc.Keys(coarseMesh, sfc.Hilbert)
 		order, _ := sfc.Order(keys)
 		vw := make([]int64, coarseMesh.NumElems())
 		for i := range vw {
 			vw[i] = 1
 		}
 		var scratch sfc.AssignScratch
-		if cfg.SFC.WeightedCuts {
-			owner = sfc.AssignWeighted(order, vw, nil, c.Size(), false, nil, &scratch)
-		} else {
-			owner = sfc.Assign(order, vw, nil, c.Size(), false, nil, &scratch)
-		}
+		owner = sfc.Assign(order, vw, nil, c.Size(), false, nil, &scratch)
 	} else {
 		if c.Rank() == 0 {
 			g := graph.FromDual(coarseMesh)

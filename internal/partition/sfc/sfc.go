@@ -36,25 +36,6 @@ const (
 	Morton
 )
 
-// Config tunes the partitioner. The zero value (Hilbert, snapping on) is the
-// engine default.
-type Config struct {
-	Curve Curve
-	// DisableSnap turns off migration-aware band snapping: every element
-	// goes to the band containing its weight midpoint, even when that moves
-	// it off a rank that an adjacent cut would have let it stay on.
-	DisableSnap bool
-	// WeightedCuts places the band cut points by a bottleneck-optimal search
-	// on the weighted prefix (AssignWeighted) instead of the fixed j·total/p
-	// midpoint grid: the heaviest band is then the minimum achievable by ANY
-	// curve-contiguous partition, never worse than the midpoint rule's
-	// total/p + maxw. Honored on the full-weight-vector paths (engine
-	// fallback epochs and bootstrap); steady-state scan epochs keep the
-	// midpoint rule, whose cut points every rank derives from two O(1)
-	// scalars without seeing the weight profile.
-	WeightedCuts bool
-}
-
 // Bits per axis of the quantized centroid grid: 31 in 2D and 21 in 3D fill
 // 62/63 bits of the key, so distinct cells never collide in the curve index
 // and ties happen only for centroids in the same cell (broken by element id).
@@ -426,147 +407,4 @@ func Assign(order []int32, vw []int64, old []int32, p int, snap bool, out []int3
 type AssignScratch struct {
 	w    []int64
 	band []int32
-	cuts []int64
-}
-
-// ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
-//
-//pared:hotpath
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-// greedyBands returns the number of bands a first-fit walk of w needs under
-// band capacity cap: open a new band whenever the next element would
-// overflow the current one. First-fit is band-minimal for a fixed capacity,
-// so "greedyBands ≤ p" is an exact feasibility test for bottleneck cap.
-// Callers guarantee cap ≥ max(w), so every element fits in some band.
-//
-//pared:hotpath
-func greedyBands(w []int64, capacity int64) int {
-	bands, cur := 1, int64(0)
-	for _, wi := range w {
-		if cur+wi > capacity && cur > 0 {
-			bands++
-			cur = 0
-		}
-		cur += wi
-	}
-	return bands
-}
-
-// weightedCuts fills cuts[0..p] with the prefix-weight cut points of a
-// bottleneck-optimal contiguous partition of w into ≤ p bands: cuts[j] is
-// the total weight of all elements before band j, cuts[p] = total, and
-// max_j(cuts[j+1]−cuts[j]) = B*, the smallest heaviest-band weight any
-// contiguous partition can achieve. B* is found by binary search on the
-// greedy feasibility test over [max(⌈total/p⌉, maxw), ⌈total/p⌉ + maxw]:
-// every partition has a band at least as heavy as both lower ends, and
-// first-fit at the upper end never opens more than p bands (each closed band
-// holds more than capacity − maxw ≥ total/p). Pure integer arithmetic on the
-// weight vector, so every rank holding it derives identical cuts.
-func weightedCuts(w []int64, total int64, p int, cuts []int64) []int64 {
-	cuts = cuts[:p+1]
-	var maxw int64
-	for _, wi := range w {
-		if wi > maxw {
-			maxw = wi
-		}
-	}
-	lo := ceilDiv(total, int64(p))
-	if maxw > lo {
-		lo = maxw
-	}
-	hi := ceilDiv(total, int64(p)) + maxw
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if greedyBands(w, mid) <= p {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// Replay first-fit at B* to materialize the cut points.
-	cuts[0] = 0
-	j := 1
-	var cur, prefix int64
-	for _, wi := range w {
-		if cur+wi > lo && cur > 0 {
-			cuts[j] = prefix
-			j++
-			cur = 0
-		}
-		cur += wi
-		prefix += wi
-	}
-	for ; j <= p; j++ {
-		cuts[j] = total
-	}
-	return cuts
-}
-
-// AssignWeighted is Assign with bottleneck-optimal cut points (weightedCuts)
-// in place of the fixed j·total/p grid: same inputs, same full-weight-vector
-// requirement, same monotone band-form output, but the heaviest unsnapped
-// band is the minimum any curve-contiguous partition allows — in particular
-// never heavier than Assign's, and the total/p + maxw bound still holds.
-// Each element goes to the band whose weight range contains its interval
-// start; with snap it may instead keep its current owner whenever its
-// interval [a, a+w) still overlaps that band's open range (cuts[o],
-// cuts[o+1]). Snapped choices stay within the bands the element's own
-// interval touches, and those advance monotonically along the curve, so the
-// output remains band form (the AssignLocal argument, verbatim); a band
-// gains at most the one straddling element per cut, keeping it within
-// B* + 2·maxw.
-func AssignWeighted(order []int32, vw []int64, old []int32, p int, snap bool, out []int32, scratch *AssignScratch) []int32 {
-	n := len(order)
-	if cap(out) < n {
-		out = make([]int32, n)
-	}
-	out = out[:n]
-	if cap(scratch.w) < n {
-		scratch.w = make([]int64, n)
-		scratch.band = make([]int32, n)
-	}
-	if cap(scratch.cuts) < p+1 {
-		scratch.cuts = make([]int64, p+1)
-	}
-	w := scratch.w[:n]
-	band := scratch.band[:n]
-	var total int64
-	for k, e := range order {
-		w[k] = vw[e]
-		total += vw[e]
-	}
-	if total <= 0 {
-		// No weight anywhere: nothing to balance, keep every element home
-		// (or band 0 when there is no current assignment) — Assign's rule.
-		for _, e := range order {
-			if old != nil {
-				out[e] = old[e]
-			} else {
-				out[e] = 0
-			}
-		}
-		return out
-	}
-	cuts := weightedCuts(w, total, p, scratch.cuts)
-	var a int64
-	var j int32
-	for k := range w {
-		we := w[k]
-		for int(j)+1 < p && a >= cuts[j+1] {
-			j++
-		}
-		sel := j
-		if snap && old != nil {
-			if o := old[order[k]]; o >= 0 && int(o) < p && cuts[o] < a+we && a < cuts[o+1] {
-				sel = o
-			}
-		}
-		band[k] = sel
-		a += we
-	}
-	for k, e := range order {
-		out[e] = band[k]
-	}
-	return out
 }
