@@ -26,7 +26,7 @@ import (
 
 // cacheVersion is folded into every key; bump it when the diagnostic format
 // or any check's semantics change in a way the check list cannot express.
-const cacheVersion = "pared-lintcache-v3" // v3: Split/BcastInt64 collectives + subgroup membership guards
+const cacheVersion = "pared-lintcache-v4" // v4: boxed collectives gone, AllReduceSumFloat64 added
 
 // Cache is a content-addressed store of per-package lint results.
 type Cache struct {

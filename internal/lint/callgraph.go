@@ -40,26 +40,20 @@ const (
 // collectiveNames are the par.Comm methods under the MPI-style ordering
 // contract: every rank must call them in the same order or the run deadlocks.
 var collectiveNames = map[string]bool{
-	"Barrier":      true,
-	"Gather":       true,
-	"Bcast":        true,
-	"Reduce":       true,
-	"AllReduce":    true,
-	"AllReduceSum": true,
-	"AllReduceMax": true,
-	"Alltoall":     true,
-	// Typed variants (par/typed.go) participate in the same collSeq ordering.
-	"AllReduceMaxSum":    true,
-	"AllReduceSumInt64":  true,
-	"ExclusiveScanInt64": true,
-	"AllGatherInt32":     true,
-	"AllGatherInt64":     true,
-	"AllGatherMoves":     true,
-	"GatherInt32":        true,
-	"GatherInt64":        true,
-	"BcastInt32":         true,
-	"BcastInt64":         true,
-	"AlltoallBytes":      true,
+	"Barrier": true,
+	// The typed collectives (par/typed.go) share Barrier's collSeq ordering.
+	"AllReduceMaxSum":     true,
+	"AllReduceSumInt64":   true,
+	"AllReduceSumFloat64": true,
+	"ExclusiveScanInt64":  true,
+	"AllGatherInt32":      true,
+	"AllGatherInt64":      true,
+	"AllGatherMoves":      true,
+	"GatherInt32":         true,
+	"GatherInt64":         true,
+	"BcastInt32":          true,
+	"BcastInt64":          true,
+	"AlltoallBytes":       true,
 	// Split is a collective on the PARENT communicator: every parent rank
 	// must call it (colors may differ; the call may not be skipped) or the
 	// subgroup numbering exchange deadlocks. Collectives on the *result* are

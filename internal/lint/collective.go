@@ -15,7 +15,7 @@ import (
 // (transitively) performs a collective from a rank-guarded region is the
 // same bug two hops removed, and the diagnostic prints the call path.
 //
-// Not flagged: branching on collective RESULTS (AllReduce et al. return the
+// Not flagged: branching on collective RESULTS (AllReduceSumInt64 et al. return the
 // same value on every rank — replicated, not rank-dependent) and anything in
 // internal/par itself, whose collective implementations are necessarily
 // rank-dependent (root vs leaf roles) and are covered by the runtime

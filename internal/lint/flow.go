@@ -15,9 +15,9 @@ import (
 // rankTaintedVars computes, for one declaration (function literals
 // included), the set of variables whose values depend on the calling rank —
 // seeded by (*par.Comm).Rank() calls and propagated through assignments and
-// range clauses to a fixed point. Collective results (AllReduce, Bcast) are
-// deliberately NOT tainted: they are replicated identically on every rank,
-// so branching on them is safe.
+// range clauses to a fixed point. Collective results (AllReduceSumInt64,
+// BcastInt32) are deliberately NOT tainted: they are replicated identically
+// on every rank, so branching on them is safe.
 func rankTaintedVars(p *Pass, body ast.Node) map[*types.Var]bool {
 	taint := make(map[*types.Var]bool)
 	lhsVar := func(e ast.Expr) *types.Var {

@@ -15,9 +15,9 @@ import (
 // (PR 3) flags single collective call sites reachable under rank-dependent
 // control, spmd compares whole traces, so the symmetric idiom
 //
-//	if c.Rank() == root { c.Bcast(root, plan) } else { c.Bcast(root, nil) }
+//	if c.Rank() == root { c.BcastInt64(root, plan) } else { c.BcastInt64(root, nil) }
 //
-// verifies (both paths run [Bcast]) while an asymmetric rejoin two calls deep
+// verifies (both paths run [BcastInt64]) while an asymmetric rejoin two calls deep
 // is reported as a counterexample: the two concrete call paths with their
 // mismatched traces.
 //

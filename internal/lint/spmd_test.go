@@ -23,7 +23,7 @@ func TestSeededBugDivergenceTwoDeep(t *testing.T) {
 		t.Fatalf("no counterexample for the two-deep divergence; got %d diags", len(diags))
 	}
 	for _, frag := range []string{
-		"Bcast via spmd.pathA->spmd.stepA",
+		"BcastInt64 via spmd.pathA->spmd.stepA",
 		"Barrier via spmd.pathA->spmd.stepA",
 		"Barrier via spmd.pathB->spmd.stepB",
 		"rank-dependent branch diverges the collective schedule",
@@ -57,21 +57,21 @@ func TestSPMDTraceSummaries(t *testing.T) {
 		return nil
 	}
 
-	// stepA runs exactly [Bcast, Barrier]; pathA inherits it through the
-	// summary with the via chain extended.
+	// stepA runs exactly [BcastInt64, Barrier]; pathA inherits it through
+	// the summary with the via chain extended.
 	a := trace("stepA")
-	if len(a) != 2 || a[0].name != "Bcast" || a[1].name != "Barrier" {
+	if len(a) != 2 || a[0].name != "BcastInt64" || a[1].name != "Barrier" {
 		t.Fatalf("stepA trace = %s", renderTrace(a))
 	}
 	pa := trace("pathA")
-	if len(pa) != 2 || pa[0].name != "Bcast" || len(pa[0].via) == 0 {
+	if len(pa) != 2 || pa[0].name != "BcastInt64" || len(pa[0].via) == 0 {
 		t.Fatalf("pathA trace should splice stepA's summary with a via chain, got %s", renderTrace(pa))
 	}
 
-	// okSymmetric rejoins: both arms are [Bcast], so the whole function
-	// summarizes to exactly one Bcast event.
+	// okSymmetric rejoins: both arms are [BcastInt64], so the whole function
+	// summarizes to exactly one BcastInt64 event.
 	sym := trace("okSymmetric")
-	if len(sym) != 1 || sym[0].name != "Bcast" {
+	if len(sym) != 1 || sym[0].name != "BcastInt64" {
 		t.Fatalf("okSymmetric trace = %s", renderTrace(sym))
 	}
 
@@ -86,7 +86,7 @@ func TestSPMDTraceSummaries(t *testing.T) {
 		t.Fatalf("summaries must be stable across queries")
 	}
 
-	// badLoop's Gather sits inside a loop: the function summary must hide it
+	// badLoop's GatherInt64 sits inside a loop: the function summary must hide it
 	// behind a loop event, not unroll it.
 	bl := trace("badLoop")
 	if len(bl) != 1 || bl[0].key == "" {

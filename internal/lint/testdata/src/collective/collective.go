@@ -19,11 +19,11 @@ func gatedEarlyReturn(c *par.Comm) {
 	c.Barrier() // want "reachable only under rank-dependent control .early return"
 }
 
-// gatedLoop: rank r calls Gather r times — the counts diverge.
+// gatedLoop: rank r calls GatherInt64 r times — the counts diverge.
 func gatedLoop(c *par.Comm) {
 	me := c.Rank()
 	for i := 0; i < me; i++ {
-		c.Gather(0, i) // want "reachable only under rank-dependent control .loop bound"
+		c.GatherInt64(0, []int64{int64(i)}) // want "reachable only under rank-dependent control .loop bound"
 	}
 }
 
@@ -45,18 +45,18 @@ func deepSync(c *par.Comm) {
 
 // okRootWork: rank-gated LOCAL work followed by an unconditional collective
 // is the canonical correct pattern (engine P2/P3) — no finding.
-func okRootWork(c *par.Comm, reps []any) any {
-	var plan any
+func okRootWork(c *par.Comm, reps [][]int64) []int64 {
+	var plan []int64
 	if c.Rank() == 0 {
-		plan = len(reps)
+		plan = []int64{int64(len(reps))}
 	}
-	return c.Bcast(0, plan)
+	return c.BcastInt64(0, plan)
 }
 
-// okReplicated: AllReduce results are identical on every rank, so branching
+// okReplicated: reduction results are identical on every rank, so branching
 // on them keeps the collective sequence in lockstep — no finding.
 func okReplicated(c *par.Comm, doit int64) {
-	if c.AllReduceMax(doit) > 0 {
+	if c.AllReduceSumInt64(doit) > 0 {
 		c.Barrier()
 	}
 }
@@ -64,7 +64,7 @@ func okReplicated(c *par.Comm, doit int64) {
 // okSizeLoop: Size() is the same on every rank — no finding.
 func okSizeLoop(c *par.Comm) {
 	for i := 0; i < c.Size(); i++ {
-		c.Bcast(i, i)
+		c.BcastInt32(i, []int32{int32(i)})
 	}
 }
 

@@ -44,7 +44,7 @@ func appendShared(xs []float64) []float64 {
 // talks communicates between ranks from inside a chunk body.
 func talks(c *par.Comm, xs []float64) {
 	kern.For(len(xs), 64, func(lo, hi int) {
-		c.Send(0, par.Tag(1), lo) // want "bodies must not communicate between ranks"
+		c.Send(0, par.Tag(1), []int64{int64(lo)}) // want "bodies must not communicate between ranks"
 	})
 }
 

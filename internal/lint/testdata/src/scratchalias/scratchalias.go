@@ -11,6 +11,7 @@ import (
 // "Scratch" bundles caller-owned, sequential work buffers.
 type workScratch struct {
 	buf []float64
+	ids []int32
 }
 
 // capturedByKern shares one scratch across concurrently-running chunks.
@@ -32,10 +33,10 @@ func capturedByGo(s *workScratch) {
 	<-done
 }
 
-// sentAcrossRanks ships a scratch through a collective; payloads travel by
-// reference, so the receiver would alias this rank's buffers.
+// sentAcrossRanks ships scratch-owned ids through a broadcast; payloads
+// travel by reference, so every receiver would alias this rank's buffers.
 func sentAcrossRanks(c *par.Comm, s *workScratch) {
-	c.Bcast(0, s) // want "scratch s sent across ranks via .*Bcast"
+	c.BcastInt32(0, s.ids) // want "scratch s sent across ranks via .*Bcast"
 }
 
 // fill2 pretends to use two independent scratches.
@@ -90,9 +91,8 @@ type exchScratch struct {
 	gathered []int64
 }
 
-// sentViaTypedGather ships scratch-owned lanes through a typed collective.
-// The payload travels by reference, so every receiver would alias this
-// rank's buffers — same rule as the any-payload collectives.
+// sentViaTypedGather ships scratch-owned lanes through an all-gather — same
+// rule as the broadcast above.
 func sentViaTypedGather(c *par.Comm, s *exchScratch) {
 	_ = c.AllGatherInt64(s.lanes) // want "scratch s sent across ranks via .*AllGatherInt64"
 }

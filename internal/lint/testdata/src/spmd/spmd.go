@@ -16,9 +16,9 @@ func badGated(c *par.Comm) {
 }
 
 // badAsymmetric: both arms synchronize, but the schedules differ.
-func badAsymmetric(c *par.Comm, x any) {
+func badAsymmetric(c *par.Comm, x []int64) {
 	if c.Rank() == 0 { // want "rank-dependent branch diverges the collective schedule"
-		c.Bcast(0, x)
+		c.BcastInt64(0, x)
 		c.Barrier()
 	} else {
 		c.Barrier()
@@ -27,18 +27,18 @@ func badAsymmetric(c *par.Comm, x any) {
 
 // badDeep is the interprocedural positive: the divergence is two calls deep
 // on each side and only the trace summaries make it visible.
-func badDeep(c *par.Comm, x any) {
-	if c.Rank() == 0 { // want "one path runs .Bcast via spmd.pathA->spmd.stepA.*another runs .Barrier via spmd.pathB"
+func badDeep(c *par.Comm, x []int64) {
+	if c.Rank() == 0 { // want "one path runs .BcastInt64 via spmd.pathA->spmd.stepA.*another runs .Barrier via spmd.pathB"
 		pathA(c, x)
 	} else {
 		pathB(c)
 	}
 }
 
-func pathA(c *par.Comm, x any) { stepA(c, x) }
+func pathA(c *par.Comm, x []int64) { stepA(c, x) }
 
-func stepA(c *par.Comm, x any) {
-	c.Bcast(0, x)
+func stepA(c *par.Comm, x []int64) {
+	c.BcastInt64(0, x)
 	c.Barrier()
 }
 
@@ -46,10 +46,10 @@ func pathB(c *par.Comm) { stepB(c) }
 
 func stepB(c *par.Comm) { c.Barrier() }
 
-// badLoop: rank r runs r Gathers — the trip count is rank-dependent.
+// badLoop: rank r runs r GatherInt64s — the trip count is rank-dependent.
 func badLoop(c *par.Comm) {
 	for i := 0; i < c.Rank(); i++ { // want "rank-dependent loop bound encloses collective schedule"
-		c.Gather(0, i)
+		c.GatherInt64(0, []int64{int64(i)})
 	}
 }
 
@@ -73,22 +73,23 @@ func badLoopEscape(c *par.Comm, xs []int32) {
 	c.Barrier()
 }
 
-// okSymmetric: both arms run [Bcast] — root sends the plan, the rest send a
-// placeholder. The schedules match even though the branch is rank-tainted.
-func okSymmetric(c *par.Comm, plan any) any {
+// okSymmetric: both arms run [BcastInt64] — root sends the plan, the rest
+// send a placeholder. The schedules match even though the branch is
+// rank-tainted.
+func okSymmetric(c *par.Comm, plan []int64) []int64 {
 	if c.Rank() == 0 {
-		return c.Bcast(0, plan)
+		return c.BcastInt64(0, plan)
 	}
-	return c.Bcast(0, nil)
+	return c.BcastInt64(0, nil)
 }
 
 // okRootWork: rank-gated local work, then an unconditional collective.
-func okRootWork(c *par.Comm, reps []int) any {
-	var plan any
+func okRootWork(c *par.Comm, reps []int) []int32 {
+	var plan []int32
 	if c.Rank() == 0 {
-		plan = len(reps)
+		plan = []int32{int32(len(reps))}
 	}
-	return c.Bcast(0, plan)
+	return c.BcastInt32(0, plan)
 }
 
 // okSilentLoop: the loop bound is rank-tainted but no iteration emits

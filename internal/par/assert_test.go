@@ -8,7 +8,7 @@ import (
 )
 
 // TestCollectiveMismatchDetected breaks the MPI ordering contract on
-// purpose: rank 0 enters a Barrier while rank 1 enters a Gather rooted at 0.
+// purpose: rank 0 enters a Barrier while rank 1 enters a GatherInt64 rooted at 0.
 // Without the paredassert layer this deadlocks silently (rank 0 queues the
 // mismatched Gather payload forever); with it, rank 0 panics with a
 // diagnosis and Run surfaces the error. The non-root Gather only sends, so
@@ -18,7 +18,7 @@ func TestCollectiveMismatchDetected(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Barrier()
 		} else {
-			c.Gather(0, 42)
+			c.GatherInt64(0, []int64{42})
 		}
 	})
 	if err == nil {
@@ -35,16 +35,16 @@ func TestCollectiveMismatchDetected(t *testing.T) {
 func TestMatchedCollectivesStillPass(t *testing.T) {
 	err := Run(3, func(c *Comm) {
 		c.Barrier()
-		sum := c.AllReduceSum(int64(c.Rank()))
+		sum := c.AllReduceSumInt64(int64(c.Rank()))
 		if sum != 3 {
 			panic("bad sum")
 		}
 		if c.Rank() == 0 {
-			c.Send(1, 5, "hello")
+			c.Send(1, 5, []int64{5})
 		}
 		if c.Rank() == 1 {
 			data, _ := c.Recv(0, 5)
-			if data.(string) != "hello" {
+			if len(data) != 1 || data[0] != 5 {
 				panic("bad payload")
 			}
 		}

@@ -5,27 +5,34 @@ import "testing"
 // BenchmarkPendingBurst measures draining a burst of out-of-order messages:
 // rank 0 sends burst tag-1 messages followed by one tag-2 message; rank 1
 // receives the tag-2 message first (parking the whole burst on the pending
-// queue) and then drains the burst in FIFO order. This is the recvSeq
+// queue) and then drains the burst in FIFO order. This is the recvMsg
 // worst case: every drain Recv hits the pending queue, never the inbox.
 func BenchmarkPendingBurst(b *testing.B) {
 	for _, burst := range []int{256, 1024, 4096} {
 		b.Run(benchName(burst), func(b *testing.B) {
+			// One read-only backing array: message k carries the word
+			// seqs[k:k+1], the flag message seqs[burst:].
+			seqs := make([]int64, burst+1)
+			for k := range seqs {
+				seqs[k] = int64(k)
+			}
+			seqs[burst] = -1
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := Run(2, func(c *Comm) {
 					const tBurst, tFlag = Tag(1), Tag(2)
 					if c.Rank() == 0 {
 						for k := 0; k < burst; k++ {
-							c.Send(1, tBurst, k)
+							c.Send(1, tBurst, seqs[k:k+1])
 						}
-						c.Send(1, tFlag, -1)
+						c.Send(1, tFlag, seqs[burst:])
 						return
 					}
-					if data, _ := c.Recv(0, tFlag); data.(int) != -1 {
+					if data, _ := c.Recv(0, tFlag); data[0] != -1 {
 						panic("bad flag payload")
 					}
 					for k := 0; k < burst; k++ {
-						if data, _ := c.Recv(0, tBurst); data.(int) != k {
+						if data, _ := c.Recv(0, tBurst); data[0] != int64(k) {
 							panic("pending queue broke FIFO order")
 						}
 					}

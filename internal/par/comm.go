@@ -1,8 +1,10 @@
 // Package par is the message-passing runtime PARED runs on: an MPI-like
 // communicator with point-to-point sends/receives and the collectives the
-// repartitioning phases need (Barrier, Gather, Bcast, Reduce, AllReduce,
-// Alltoall). Ranks are goroutines in one process; transport is typed Go
-// channels. Communicators can be split into sub-communicators (Split), so
+// repartitioning phases need (Barrier plus the typed gathers, broadcasts,
+// reductions, scans and all-to-alls of typed.go). Every payload is a flat
+// []int32, []int64 or []byte carried in its own lane of the message, so
+// nothing is boxed into an interface and no receiver type-asserts. Ranks are
+// goroutines in one process; transport is Go channels. Communicators can be split into sub-communicators (Split), so
 // hierarchical algorithms can scope collectives to a node group or to the
 // group leaders. The paper ran on an IBM SP / NOW over MPI; this layer
 // preserves the programming model — per-rank ownership and explicit
@@ -27,9 +29,8 @@ type message struct {
 	src  int    // sender's rank within that communicator
 	tag  Tag
 	seq  int64 // collective sequence number (0 for point-to-point traffic)
-	data any
-	// Typed payload lanes for the hot collectives (see typed.go): carrying
-	// the slice header inline avoids boxing it into data.
+	// Payload lanes (see typed.go): the slice header travels inline, so no
+	// payload is boxed. Point-to-point traffic uses the i64 lane.
 	i32   []int32
 	i64   []int64
 	bytes []byte
@@ -92,8 +93,7 @@ const consumedSrc = -2
 // consumePending tombstones slot i and maintains the head/compaction
 // invariants.
 func (ep *endpoint) consumePending(i int) {
-	ep.pending[i].data = nil // release the payload references
-	ep.pending[i].i32 = nil
+	ep.pending[i].i32 = nil // release the payload references
 	ep.pending[i].i64 = nil
 	ep.pending[i].bytes = nil
 	ep.pending[i].src = consumedSrc
@@ -157,32 +157,23 @@ func (c *Comm) post(dst int, m message) {
 	c.world.boxes[c.WorldRank(dst)] <- m
 }
 
-// Send delivers data to rank dst with the given tag. Data is not copied;
-// by convention senders relinquish ownership of anything they send (the
-// engine serializes mesh state into payload structs before sending).
-func (c *Comm) Send(dst int, tag Tag, data any) {
+// Send delivers xs to rank dst with the given tag. The slice is not copied;
+// by convention senders relinquish ownership of what they send (the engine
+// packs its state into fresh int64 words before sending).
+func (c *Comm) Send(dst int, tag Tag, xs []int64) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("par: Send to invalid rank %d", dst))
 	}
-	c.post(dst, message{tag: tag, data: data})
-}
-
-// sendSeq sends a collective message stamped with a sequence number, so that
-// back-to-back collectives of the same kind cannot cross-match.
-func (c *Comm) sendSeq(dst int, tag Tag, seq int64, data any) {
-	c.post(dst, message{tag: tag, seq: seq, data: data})
+	c.post(dst, message{tag: tag, i64: xs})
 }
 
 // Recv blocks until a message with the given tag arrives from src
 // (or from anyone if src == AnySource), returning the payload and the actual
-// source. Messages with non-matching tags are queued, not lost.
-func (c *Comm) Recv(src int, tag Tag) (data any, from int) {
-	return c.recvSeq(src, tag, 0)
-}
-
-func (c *Comm) recvSeq(src int, tag Tag, seq int64) (data any, from int) {
-	m := c.recvMsg(src, tag, seq)
-	return m.data, m.src
+// source. Messages with non-matching tags are queued, not lost. The payload
+// is shared with the sender; treat it as read-only.
+func (c *Comm) Recv(src int, tag Tag) (xs []int64, from int) {
+	m := c.recvMsg(src, tag, 0)
+	return m.i64, m.src
 }
 
 // recvMsg blocks until a message on this comm matching (src, tag, seq)

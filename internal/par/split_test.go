@@ -133,13 +133,9 @@ func TestSplitCollectives(t *testing.T) {
 				panic("AllGatherMoves wrong on subgroup")
 			}
 		}
-		// Boxed collectives on the subgroup.
 		sub.Barrier()
-		if v := sub.Bcast(0, base).(int64); v != base {
-			panic("boxed Bcast wrong on subgroup")
-		}
-		if v := sub.AllReduceSum(int64(r)); v != int64(n*(n-1)/2) {
-			panic("boxed AllReduceSum wrong on subgroup")
+		if v := sub.AllReduceSumFloat64(float64(r)); v != float64(n*(n-1)/2) {
+			panic("AllReduceSumFloat64 wrong on subgroup")
 		}
 	})
 	if err != nil {
@@ -276,17 +272,17 @@ func TestSplitP2P(t *testing.T) {
 		const tag = Tag(3)
 		// Ring on the subgroup using sub-comm ranks.
 		next := (sub.Rank() + 1) % sub.Size()
-		sub.Send(next, tag, 1000+c.Rank())
+		sub.Send(next, tag, []int64{int64(1000 + c.Rank())})
 		// Same tag on the parent comm, seq 0 as well: only the comm identity
 		// separates the streams.
-		c.Send((c.Rank()+1)%p, tag, c.Rank())
+		c.Send((c.Rank()+1)%p, tag, []int64{int64(c.Rank())})
 		dataP, fromP := c.Recv(AnySource, tag)
 		dataS, fromS := sub.Recv(AnySource, tag)
-		if fromP != (c.Rank()+p-1)%p || dataP.(int) != (c.Rank()+p-1)%p {
+		if fromP != (c.Rank()+p-1)%p || dataP[0] != int64((c.Rank()+p-1)%p) {
 			panic("parent p2p crossed with sub-comm traffic")
 		}
 		prev := (sub.Rank() + sub.Size() - 1) % sub.Size()
-		if fromS != prev || dataS.(int) != 1000+sub.WorldRank(prev) {
+		if fromS != prev || dataS[0] != int64(1000+sub.WorldRank(prev)) {
 			panic("sub-comm p2p delivered the wrong message")
 		}
 	})

@@ -1,27 +1,28 @@
 package par
 
-// Typed collectives for hot payloads. The generic collectives carry `any`
-// payloads: every Send boxes the value into an interface and every Recv type-
-// asserts it back out, which costs an allocation per message and defeats
-// escape analysis for the slices inside. The rebalance pipeline moves flat
-// int32/int64/byte slices every epoch, so these variants carry the slice
-// headers in dedicated message fields — no boxing, no copies, no assertions.
+import "math"
+
+// Typed collectives: the only payload-carrying collectives par has. Each
+// carries its flat int32/int64/byte slice header in a dedicated message lane
+// — no boxing into an interface, no copies, no type assertions on receipt —
+// so every message is one channel send of a fixed-size struct.
 //
 // Ownership follows the package convention: senders relinquish what they
-// send. Received slices are shared with the sender (and, for BcastInt32,
+// send. Received slices are shared with the sender (and, for the broadcasts,
 // with every rank), so receivers must treat them as read-only or copy.
 //
 // The scalar collectives (AllReduceMaxSum, AllReduceSumInt64,
-// ExclusiveScanInt64) send their one- and two-word payloads from per-Comm
-// scratch instead of allocating a fresh slice per call, so they are
-// zero-alloc in steady state — on the world comm and on every split comm.
-// Reuse is safe by the same reuse-distance argument as AllGatherMoves: a
-// rank overwrites its up-lane scratch only after it received the down
-// message of the previous round, which the root sent only after reading
-// every up payload of that round; the root overwrites its down-lane scratch
-// only after collecting every up of the NEXT round, which each peer sent
-// only after reading the previous down. The channel send/receive pairs give
-// the happens-before edges, so the reuse is also race-detector-clean.
+// AllReduceSumFloat64, ExclusiveScanInt64) send their one- and two-word
+// payloads from per-Comm scratch instead of allocating a fresh slice per
+// call, so they are zero-alloc in steady state — on the world comm and on
+// every split comm. Reuse is safe by the same reuse-distance argument as
+// AllGatherMoves: a rank overwrites its up-lane scratch only after it
+// received the down message of the previous round, which the root sent only
+// after reading every up payload of that round; the root overwrites its
+// down-lane scratch only after collecting every up of the NEXT round, which
+// each peer sent only after reading the previous down. The channel
+// send/receive pairs give the happens-before edges, so the reuse is also
+// race-detector-clean.
 
 // Reserved tags continuing the collective range in collectives.go.
 const (
@@ -39,6 +40,8 @@ const (
 	tagAllGatherI64
 	tagAllGatherMoves
 	tagBcastI64
+	tagFSumUp
+	tagFSumDown
 )
 
 // scalarScratch is the per-Comm send scratch of the scalar collectives.
@@ -52,8 +55,8 @@ type scalarScratch struct {
 }
 
 // AllReduceMaxSum combines every rank's value into (max, sum) in one fused
-// round — one gather and one broadcast — where separate AllReduceMax +
-// AllReduceSum calls would take four. The engine's cheap imbalance probe
+// round — one gather and one broadcast — where a separate max reduction
+// and AllReduceSumInt64 would take two of each. The engine's cheap imbalance probe
 // runs this every epoch, including the epochs that go on to skip rebalancing
 // entirely, so the probe must not cost more than the decision it avoids.
 func (c *Comm) AllReduceMaxSum(value int64) (max, sum int64) {
@@ -82,9 +85,9 @@ func (c *Comm) AllReduceMaxSum(value int64) (max, sum int64) {
 }
 
 // AllReduceSumInt64 sums an int64 across ranks in one fused up/down round.
-// It is the typed, unboxed counterpart of AllReduceSum (which routes through
-// Gather/Bcast of `any` and boxes every value); the SFC rebalance path calls
-// it every epoch for the total curve weight.
+// The engine calls it for its global counts (leaves, moved trees, adapt
+// quiescence) and the SFC rebalance path every epoch for the total curve
+// weight.
 func (c *Comm) AllReduceSumInt64(value int64) int64 {
 	c.collSeq++
 	seq := c.collSeq
@@ -102,6 +105,35 @@ func (c *Comm) AllReduceSumInt64(value int64) int64 {
 	c.sc.down[0] = sum
 	for i := 1; i < c.size; i++ {
 		c.post(i, message{tag: tagSumDown, seq: seq, i64: c.sc.down[:1]})
+	}
+	return sum
+}
+
+// AllReduceSumFloat64 sums a float64 across ranks and returns the same bits
+// on every rank. Floating-point addition is not associative, so the fold
+// order is part of the contract: rank 0 starts from +0.0, adds its own value
+// and then each other rank's in ascending rank order (receiving from each
+// source in turn), and fans the sum back out as its IEEE bits. The
+// distributed CG solve takes every inner product through it, so its
+// iterates do not depend on message arrival order.
+func (c *Comm) AllReduceSumFloat64(value float64) float64 {
+	c.collSeq++
+	seq := c.collSeq
+	if c.rank != 0 {
+		c.sc.up[0] = int64(math.Float64bits(value))
+		c.post(0, message{tag: tagFSumUp, seq: seq, i64: c.sc.up[:1]})
+		m := c.recvMsg(0, tagFSumDown, seq)
+		return math.Float64frombits(uint64(m.i64[0]))
+	}
+	sum := 0.0
+	sum += value
+	for r := 1; r < c.size; r++ {
+		m := c.recvMsg(r, tagFSumUp, seq)
+		sum += math.Float64frombits(uint64(m.i64[0]))
+	}
+	c.sc.down[0] = int64(math.Float64bits(sum))
+	for i := 1; i < c.size; i++ {
+		c.post(i, message{tag: tagFSumDown, seq: seq, i64: c.sc.down[:1]})
 	}
 	return sum
 }

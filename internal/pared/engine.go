@@ -170,11 +170,9 @@ type PhaseDurations struct {
 	HierA, HierB time.Duration
 }
 
-// Message tags used by the engine (collectives use their own range).
-const (
-	tagTrees par.Tag = 100 + iota
-	tagFacets
-)
+// tagFacets tags the P1 boundary-facet exchange (collectives use their own
+// range).
+const tagFacets par.Tag = 100
 
 // New creates the engine on each rank: owner[i] gives the rank of coarse
 // element i; the rank keeps only its own trees.
@@ -247,7 +245,6 @@ func (e *Engine) rebuildShared() {
 // eachLeafFacet enumerates the facets of all local leaves as global-ID
 // facets, with the leaf's root.
 func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
-	dim := int(e.F.Dim)
 	e.F.VisitLeaves(func(id forest.NodeID) {
 		n := e.F.Node(id)
 		nv := n.Nv()
@@ -265,7 +262,6 @@ func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
 			fn(f, n.Root)
 		}
 	})
-	_ = dim
 }
 
 // lessGFacet orders facets lexicographically by global vertex IDs.
@@ -324,26 +320,23 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		st.Rounds++
 		st.LocalRefined += e.R.Closure()
 		// Collect and filter this round's splits: only shard-boundary edges
-		// concern other ranks. Midpoints of shared edges become shared.
-		var out []refine.EdgeSplit
+		// concern other ranks. Midpoints of shared edges become shared. Each
+		// split travels as its two vertex-ID words (A, B).
+		var out []int64
 		for _, s := range e.R.TakeNewSplits() {
 			if e.shared[s.A] && e.shared[s.B] {
-				out = append(out, s)
+				out = append(out, int64(s.A), int64(s.B))
 				e.shared[forest.MidID(s.A, s.B)] = true
 			}
 		}
 		// Exchange with every rank (p is small; neighbor filtering would cut
 		// traffic but not change results).
-		send := make([]any, e.Comm.Size())
-		for i := range send {
-			send[i] = out
-		}
-		recv := e.Comm.Alltoall(send)
-		for from, v := range recv {
+		for from, words := range e.Comm.AllGatherInt64(out) {
 			if from == e.Comm.Rank() {
 				continue
 			}
-			for _, s := range v.([]refine.EdgeSplit) {
+			for i := 0; i+1 < len(words); i += 2 {
+				s := refine.EdgeSplit{A: forest.VertexID(words[i]), B: forest.VertexID(words[i+1])}
 				if !e.R.IsSplit(s) {
 					e.pending[s] = true
 				}
@@ -372,8 +365,8 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 				delete(e.pending, s)
 			}
 		}
-		changed := int64(len(out) + applied)
-		if e.Comm.AllReduceSum(changed) == 0 {
+		changed := int64(len(out)/2 + applied)
+		if e.Comm.AllReduceSumInt64(changed) == 0 {
 			break
 		}
 	}
@@ -390,7 +383,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 			return est.Indicator(e.F, id) < coarsenTol
 		})
 	}
-	st.GlobalLeaves = e.Comm.AllReduceSum(int64(e.F.NumLeaves()))
+	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh
 		// conformal — this is the property the split-exchange loop exists for.
@@ -417,22 +410,29 @@ func (e *Engine) Imbalance() float64 {
 	return float64(maxL)/avg - 1
 }
 
-// weightReport is a rank's P2 payload: new vertex and edge weights of G for
+// weightReport is a rank's P1 result: new vertex and edge weights of G for
 // the trees (and tree pairs) it is responsible for.
 type weightReport struct {
-	Roots   []int32 // owned roots
-	VW      []int64 // leaf counts, parallel to Roots
-	EdgeR   []int32 // edge endpoints (r, s) with counted adjacency
-	EdgeS   []int32
-	EdgeW   []int64
-	MyOwner []int32 // this rank's view of ownership (sanity checking)
+	Roots []int32 // owned roots
+	VW    []int64 // leaf counts, parallel to Roots
+	EdgeR []int32 // edge endpoints (r, s) with counted adjacency
+	EdgeS []int32
+	EdgeW []int64
 }
 
-// facetList is the boundary-facet exchange payload used to count leaf
-// adjacency across rank boundaries.
-type facetList struct {
-	Facets []gfacet
-	Roots  []int32
+// words packs the report flat, in the layout buildG decodes:
+//
+//	[nRoots, nEdges, (root, vw)×nRoots, (r, s, w)×nEdges]
+func (rep weightReport) words() []int64 {
+	out := make([]int64, 0, 2+2*len(rep.Roots)+3*len(rep.EdgeR))
+	out = append(out, int64(len(rep.Roots)), int64(len(rep.EdgeR)))
+	for i, r := range rep.Roots {
+		out = append(out, int64(r), rep.VW[i])
+	}
+	for i := range rep.EdgeR {
+		out = append(out, int64(rep.EdgeR[i]), int64(rep.EdgeS[i]), rep.EdgeW[i])
+	}
+	return out
 }
 
 // RebalanceStats reports a repartitioning step (identical on all ranks).
@@ -477,8 +477,8 @@ func (e *Engine) Rebalance(force bool) RebalanceStats {
 	// Migrate trees whose owner changed.
 	var moved, movedElems int64
 	dm := timed(func() { moved, movedElems = e.migrate(newOwner) })
-	st.MovedTrees = e.Comm.AllReduceSum(moved)
-	st.MovedElements = e.Comm.AllReduceSum(movedElems)
+	st.MovedTrees = e.Comm.AllReduceSumInt64(moved)
+	st.MovedElements = e.Comm.AllReduceSumInt64(movedElems)
 	e.Owner = newOwner
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		check.MeshConformal(e.F.LeafMesh().Mesh, "pared.Engine.Rebalance")
@@ -506,7 +506,6 @@ func (e *Engine) localWeights() weightReport {
 	// trees; facets seen once are shard-boundary candidates for the exchange.
 	first := make(map[gfacet]int32)
 	pair := make(map[[2]int32]int64)
-	var boundary facetList
 	e.eachLeafFacet(func(f gfacet, root int32) {
 		if other, ok := first[f]; ok {
 			if other != root {
@@ -518,16 +517,17 @@ func (e *Engine) localWeights() weightReport {
 		}
 		first[f] = root
 	})
-	// Emit the boundary list in sorted facet order so the P2 payloads (and
-	// any trace of them) are byte-identical across runs.
+	// What is left in first is this rank's boundary: emit it in sorted facet
+	// order, one (facet words, root) quadruple per facet, so the exchange
+	// payloads are byte-identical across runs.
 	bkeys := make([]gfacet, 0, len(first))
 	for f := range first {
 		bkeys = append(bkeys, f)
 	}
 	sort.Slice(bkeys, func(i, j int) bool { return lessGFacet(bkeys[i], bkeys[j]) })
+	boundary := make([]int64, 0, 4*len(bkeys))
 	for _, f := range bkeys {
-		boundary.Facets = append(boundary.Facets, f)
-		boundary.Roots = append(boundary.Roots, first[f])
+		boundary = append(boundary, int64(f[0]), int64(f[1]), int64(f[2]), int64(first[f]))
 	}
 	// Pairwise exchange: every rank sends its boundary list to all higher
 	// ranks; the higher rank matches and owns the mixed pair counts.
@@ -535,16 +535,12 @@ func (e *Engine) localWeights() weightReport {
 	for dst := me + 1; dst < e.Comm.Size(); dst++ {
 		e.Comm.Send(dst, tagFacets, boundary)
 	}
-	mine := make(map[gfacet]int32, len(boundary.Facets))
-	for i, f := range boundary.Facets {
-		mine[f] = boundary.Roots[i]
-	}
 	for src := 0; src < me; src++ {
-		data, _ := e.Comm.Recv(src, tagFacets)
-		fl := data.(facetList)
-		for i, f := range fl.Facets {
-			if r, ok := mine[f]; ok {
-				s := fl.Roots[i]
+		words, _ := e.Comm.Recv(src, tagFacets)
+		for i := 0; i+3 < len(words); i += 4 {
+			f := gfacet{forest.VertexID(words[i]), forest.VertexID(words[i+1]), forest.VertexID(words[i+2])}
+			if r, ok := first[f]; ok {
+				s := int32(words[i+3])
 				k := [2]int32{min32(r, s), max32(r, s)}
 				pair[k]++
 			}
@@ -644,13 +640,21 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 	for _, r := range e.F.Roots() {
 		payloads = append(payloads, e.F.ExtractTree(r))
 	}
-	all := e.Comm.Gather(root, payloads)
+	// Only the root lane carries anything: the trees travel in the
+	// migration wire format (forest.EncodePayloads).
+	send := make([][]byte, e.Comm.Size())
+	send[root] = forest.EncodePayloads(payloads)
+	recv := e.Comm.AlltoallBytes(send)
 	if e.Comm.Rank() != root {
 		return nil
 	}
 	g := forest.New(e.F.Dim)
-	for _, a := range all {
-		for _, p := range a.([]*forest.TreePayload) {
+	for from, buf := range recv {
+		ps, err := forest.DecodePayloads(buf)
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d gather payload from %d: %v", root, from, err))
+		}
+		for _, p := range ps {
 			g.InsertTree(p)
 		}
 	}
@@ -661,9 +665,9 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 // once, owner map agreement) and local refiner invariants. Intended for tests.
 func (e *Engine) CheckConsistency() error {
 	// Local faults must not short-circuit past the collectives below: a rank
-	// returning early while the others enter Gather would deadlock (the spmd
-	// check proves this schedule symmetric). Collect the fault and let rank 0
-	// fold it into the broadcast verdict every rank agrees on.
+	// returning early while the others enter them would deadlock (the spmd
+	// check proves this schedule symmetric). Every rank receives every
+	// rank's roots and fault, so all of them compute the same verdict.
 	local := ""
 	if err := e.R.CheckInvariants(); err != nil {
 		local = err.Error()
@@ -677,34 +681,26 @@ func (e *Engine) CheckConsistency() error {
 			}
 		}
 	}
-	lists := e.Comm.Gather(0, e.F.Roots())
-	faults := e.Comm.Gather(0, local)
-	var verdict string
-	if e.Comm.Rank() == 0 {
-		for _, a := range faults {
-			if s := a.(string); s != "" {
-				verdict = s
-				break
-			}
-		}
-		if verdict == "" {
-			held := make([]int, e.Coarse.NumElems())
-			for _, a := range lists {
-				for _, r := range a.([]int32) {
-					held[r]++
-				}
-			}
-			for i, h := range held {
-				if h != 1 {
-					verdict = fmt.Sprintf("tree %d held by %d ranks", i, h)
-					break
-				}
-			}
+	lists := e.Comm.AllGatherInt32(e.F.Roots())
+	send := make([][]byte, e.Comm.Size())
+	for i := range send {
+		send[i] = []byte(local)
+	}
+	for _, fault := range e.Comm.AlltoallBytes(send) {
+		if len(fault) > 0 {
+			return fmt.Errorf("pared: %s", fault)
 		}
 	}
-	verdict = e.Comm.Bcast(0, verdict).(string)
-	if verdict != "" {
-		return fmt.Errorf("pared: %s", verdict)
+	held := make([]int, e.Coarse.NumElems())
+	for _, roots := range lists {
+		for _, r := range roots {
+			held[r]++
+		}
+	}
+	for i, h := range held {
+		if h != 1 {
+			return fmt.Errorf("pared: tree %d held by %d ranks", i, h)
+		}
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func TestIncrementalMatchesScratchDriftAlways(t *testing.T) {
 		e.SetConfig(pnrConfig(core.Config{Hierarchy: core.NewHierarchy(), RematchEvery: 1}))
 		for epoch := 0; epoch < 10; epoch++ {
 			e.Adapt(est, 0.8, 0, 7)
-			reports := c.Gather(0, e.localWeights())
+			reports := c.GatherInt64(0, e.localWeights().words())
 			var want epochRecord
 			if c.Rank() == 0 {
 				g := buildG(m.NumElems(), reports)

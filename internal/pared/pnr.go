@@ -238,7 +238,7 @@ func (c *deltaCache) assertPatched(e *Engine, rep weightReport) {
 	if !check.Enabled {
 		return
 	}
-	reports := e.Comm.Gather(0, rep)
+	reports := e.Comm.GatherInt64(0, rep.words())
 	if e.Comm.Rank() != 0 {
 		return
 	}
@@ -260,17 +260,20 @@ func (c *deltaCache) assertPatched(e *Engine, rep weightReport) {
 }
 
 // buildG assembles the coarse dual graph from scratch out of all ranks' full
-// weight reports: the reference the patched G is checked against
-// (assertPatched, and the incremental-pipeline tests).
-func buildG(numRoots int, reports []any) *graph.Graph {
+// weight reports, each in the weightReport.words layout: the reference the
+// patched G is checked against (assertPatched, and the incremental-pipeline
+// tests).
+func buildG(numRoots int, reports [][]int64) *graph.Graph {
 	b := graph.NewBuilder(numRoots)
-	for _, a := range reports {
-		rep := a.(weightReport)
-		for i, r := range rep.Roots {
-			b.SetVW(r, rep.VW[i])
+	for _, w := range reports {
+		nr, ne := int(w[0]), int(w[1])
+		w = w[2:]
+		for i := 0; i < nr; i++ {
+			b.SetVW(int32(w[2*i]), w[2*i+1])
 		}
-		for i := range rep.EdgeR {
-			b.AddEdge(rep.EdgeR[i], rep.EdgeS[i], rep.EdgeW[i])
+		w = w[2*nr:]
+		for i := 0; i < ne; i++ {
+			b.AddEdge(int32(w[3*i]), int32(w[3*i+1]), w[3*i+2])
 		}
 	}
 	return b.Build()

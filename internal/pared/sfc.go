@@ -241,7 +241,7 @@ func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 			g := graph.FromDual(coarseMesh)
 			owner = core.Partition(g, c.Size(), core.Config{})
 		}
-		owner = c.Bcast(0, owner).([]int32)
+		owner = c.BcastInt32(0, owner)
 	}
 	eng := New(c, coarseMesh, owner)
 	eng.SetConfig(cfg)

@@ -19,7 +19,7 @@ import (
 // runs with global inner products. The result at every rank's vertices
 // matches the serial solve of the gathered mesh (see TestDistributedSolve).
 
-const tagDofs par.Tag = 110 + iota
+const tagDofs par.Tag = 110
 
 // DistSolution is one rank's portion of a distributed FEM solution.
 type DistSolution struct {
@@ -50,10 +50,36 @@ type dofPlan struct {
 	sendIdx map[int32][]int32
 }
 
-// buildDofPlan exchanges boundary vertex IDs with all ranks and derives the
-// sharing pattern. Only shard-boundary vertices can be shared, so the
-// exchanged lists are O(interface size).
-func (e *Engine) buildDofPlan() *dofPlan {
+// boundaryFacets returns the facets of local leaves with no local partner,
+// in ascending order: the shard boundary, which includes this rank's part of
+// the domain boundary.
+func (e *Engine) boundaryFacets() []gfacet {
+	count := make(map[gfacet]int)
+	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
+	var out []gfacet
+	for f, n := range count {
+		if n == 1 {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return lessGFacet(out[i], out[j]) })
+	return out
+}
+
+// vertexWords packs vertex IDs as int64 words for the typed collectives.
+func vertexWords(ids []forest.VertexID) []int64 {
+	out := make([]int64, len(ids))
+	for i, id := range ids {
+		out[i] = int64(id)
+	}
+	return out
+}
+
+// buildDofPlan exchanges the vertex IDs of the boundary facets (see
+// boundaryFacets) with all ranks and derives the sharing pattern. Only
+// shard-boundary vertices can be shared, so the exchanged lists are
+// O(interface size).
+func (e *Engine) buildDofPlan(boundary []gfacet) *dofPlan {
 	leaf := e.F.LeafMesh()
 	plan := &dofPlan{
 		leaf:    leaf,
@@ -62,17 +88,12 @@ func (e *Engine) buildDofPlan() *dofPlan {
 		sendIdx: make(map[int32][]int32),
 	}
 	// Candidate shared dofs: vertices of shard-boundary facets.
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
 	cand := make(map[forest.VertexID]int32) // VertexID -> local leaf-mesh dof
 	vid2dof := make(map[forest.VertexID]int32, leaf.Mesh.NumVerts())
 	for i, fv := range leaf.Vert2Local {
 		vid2dof[e.F.VIDs[fv]] = int32(i)
 	}
-	for f, n := range count {
-		if n != 1 {
-			continue
-		}
+	for _, f := range boundary {
 		for _, id := range f {
 			if id == ^forest.VertexID(0) {
 				continue
@@ -87,25 +108,20 @@ func (e *Engine) buildDofPlan() *dofPlan {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// All-to-all candidate exchange (p is small; the lists are interface-
+	// All-gather of the candidates (p is small; the lists are interface-
 	// sized).
-	send := make([]any, e.Comm.Size())
-	for i := range send {
-		send[i] = ids
-	}
-	recv := e.Comm.Alltoall(send)
+	recv := e.Comm.AllGatherInt64(vertexWords(ids))
 	me := int32(e.Comm.Rank())
 	for i := range plan.owned {
 		plan.owned[i] = true
 	}
-	for from, v := range recv {
+	for from, theirs := range recv {
 		if from == e.Comm.Rank() {
 			continue
 		}
-		theirs := v.([]forest.VertexID)
 		their := make(map[forest.VertexID]bool, len(theirs))
 		for _, id := range theirs {
-			their[id] = true
+			their[forest.VertexID(id)] = true
 		}
 		var common []int32
 		for _, id := range ids {
@@ -127,35 +143,31 @@ func (e *Engine) buildDofPlan() *dofPlan {
 
 // sumShared adds the contributions of sharing ranks into x at shared dofs,
 // making x globally consistent (every sharer ends with the same summed
-// value).
+// value). Values travel as their IEEE bits, neighbour to neighbour.
 func (p *dofPlan) sumShared(c *par.Comm, x []float64) {
 	ranks := make([]int32, 0, len(p.sendIdx))
 	for r := range p.sendIdx {
 		ranks = append(ranks, r)
 	}
 	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	type msg struct {
-		vals []float64
-	}
 	for _, r := range ranks {
 		idx := p.sendIdx[r]
-		vals := make([]float64, len(idx))
+		bits := make([]int64, len(idx))
 		for k, i := range idx {
-			vals[k] = x[i]
+			bits[k] = int64(math.Float64bits(x[i]))
 		}
-		c.Send(int(r), tagDofs, msg{vals})
+		c.Send(int(r), tagDofs, bits)
 	}
 	// Accumulate into a copy so each rank adds the same original values.
 	add := make(map[int32]float64)
 	for _, r := range ranks {
-		data, _ := c.Recv(int(r), tagDofs)
-		vals := data.(msg).vals
+		bits, _ := c.Recv(int(r), tagDofs)
 		idx := p.sendIdx[r]
-		if len(vals) != len(idx) {
+		if len(bits) != len(idx) {
 			panic(fmt.Sprintf("pared: dof exchange length mismatch with rank %d", r))
 		}
 		for k, i := range idx {
-			add[i] += vals[k]
+			add[i] += math.Float64frombits(uint64(bits[k]))
 		}
 	}
 	for i, v := range add {
@@ -172,27 +184,15 @@ func (p *dofPlan) dotOwned(c *par.Comm, x, y []float64) float64 {
 			s += x[i] * y[i]
 		}
 	}
-	return allReduceFloat(c, s)
-}
-
-// allReduceFloat sums a float64 across ranks (bit-identical on every rank,
-// since the coordinator performs the reduction in rank order).
-func allReduceFloat(c *par.Comm, v float64) float64 {
-	vals := c.Gather(0, v)
-	var sum float64
-	if c.Rank() == 0 {
-		for _, x := range vals {
-			sum += x.(float64)
-		}
-	}
-	return c.Bcast(0, sum).(float64)
+	return c.AllReduceSumFloat64(s)
 }
 
 // SolveLaplace solves −Δu = source (source may be nil) with Dirichlet data g
 // on the domain boundary, distributed across the engine's ranks with
 // Jacobi-preconditioned CG. Every rank must call it collectively.
 func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, maxIter int) (*DistSolution, error) {
-	plan := e.buildDofPlan()
+	boundary := e.boundaryFacets()
+	plan := e.buildDofPlan(boundary)
 	leaf := plan.leaf
 	m := leaf.Mesh
 	n := m.NumVerts()
@@ -200,7 +200,7 @@ func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, ma
 	// Domain (not shard) boundary: a facet with no element on the other side
 	// anywhere. Shard-boundary facets have a remote partner; true boundary
 	// facets do not. Decide by facet counts across all ranks.
-	onBnd := e.domainBoundaryVerts(plan)
+	onBnd := e.domainBoundaryVerts(plan, boundary)
 
 	// Per-rank assembly and local Dirichlet elimination. The global system
 	// is the sum of the per-rank contributions at shared interior dofs:
@@ -252,29 +252,20 @@ func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, ma
 }
 
 // domainBoundaryVerts returns the set of local dofs on the true domain
-// boundary (facets with no partner on any rank).
-func (e *Engine) domainBoundaryVerts(plan *dofPlan) map[int32]bool {
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	var mine []gfacet
-	for f, n := range count {
-		if n == 1 {
-			mine = append(mine, f)
-		}
+// boundary: vertices of boundary facets (see boundaryFacets) with no partner
+// on any rank.
+func (e *Engine) domainBoundaryVerts(plan *dofPlan, mine []gfacet) map[int32]bool {
+	words := make([]int64, 0, 3*len(mine))
+	for _, f := range mine {
+		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
 	}
-	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
-	send := make([]any, e.Comm.Size())
-	for i := range send {
-		send[i] = mine
-	}
-	recv := e.Comm.Alltoall(send)
 	remote := make(map[gfacet]bool)
-	for from, v := range recv {
+	for from, theirs := range e.Comm.AllGatherInt64(words) {
 		if from == e.Comm.Rank() {
 			continue
 		}
-		for _, f := range v.([]gfacet) {
-			remote[f] = true
+		for i := 0; i+2 < len(theirs); i += 3 {
+			remote[gfacet{forest.VertexID(theirs[i]), forest.VertexID(theirs[i+1]), forest.VertexID(theirs[i+2])}] = true
 		}
 	}
 	vid2dof := make(map[forest.VertexID]int32, plan.leaf.Mesh.NumVerts())
@@ -300,15 +291,10 @@ func (e *Engine) domainBoundaryVerts(plan *dofPlan) map[int32]bool {
 	// without owning any of its boundary facets (e.g. after migration), so
 	// union every rank's view — all sharers must agree on Dirichlet rows.
 	sort.Slice(bndIDs, func(i, j int) bool { return bndIDs[i] < bndIDs[j] })
-	bsend := make([]any, e.Comm.Size())
-	for i := range bsend {
-		bsend[i] = bndIDs
-	}
-	brecv := e.Comm.Alltoall(bsend)
 	out := make(map[int32]bool)
-	for _, v := range brecv {
-		for _, id := range v.([]forest.VertexID) {
-			if dof, ok := vid2dof[id]; ok {
+	for _, ids := range e.Comm.AllGatherInt64(vertexWords(bndIDs)) {
+		for _, id := range ids {
+			if dof, ok := vid2dof[forest.VertexID(id)]; ok {
 				out[dof] = true
 			}
 		}

@@ -14,25 +14,23 @@ import (
 // collectGlobal gathers the distributed solution at rank 0 as a map from
 // global VertexID to value, checking sharers agree.
 func collectGlobal(t interface{ Errorf(string, ...any) }, e *Engine, sol *DistSolution) map[forest.VertexID]float64 {
-	type pair struct {
-		ID  forest.VertexID
-		Val float64
-	}
-	var mine []pair
+	// (VertexID, value bits) word pairs.
+	var mine []int64
 	for i, fv := range sol.Mesh.Vert2Local {
-		mine = append(mine, pair{e.F.VIDs[fv], sol.U[i]})
+		mine = append(mine, int64(e.F.VIDs[fv]), int64(math.Float64bits(sol.U[i])))
 	}
-	all := e.Comm.Gather(0, mine)
+	all := e.Comm.GatherInt64(0, mine)
 	if e.Comm.Rank() != 0 {
 		return nil
 	}
 	out := make(map[forest.VertexID]float64)
-	for _, a := range all {
-		for _, p := range a.([]pair) {
-			if prev, ok := out[p.ID]; ok && math.Abs(prev-p.Val) > 1e-8 {
-				t.Errorf("sharers disagree at dof %x: %v vs %v", uint64(p.ID), prev, p.Val)
+	for _, words := range all {
+		for k := 0; k+1 < len(words); k += 2 {
+			id, val := forest.VertexID(words[k]), math.Float64frombits(uint64(words[k+1]))
+			if prev, ok := out[id]; ok && math.Abs(prev-val) > 1e-8 {
+				t.Errorf("sharers disagree at dof %x: %v vs %v", uint64(id), prev, val)
 			}
-			out[p.ID] = p.Val
+			out[id] = val
 		}
 	}
 	return out
@@ -196,7 +194,8 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 					localMax = v
 				}
 			})
-			globalMax := float64(e.Comm.AllReduceMax(int64(localMax*1e12))) / 1e12
+			maxScaled, _ := e.Comm.AllReduceMaxSum(int64(localMax * 1e12))
+			globalMax := float64(maxScaled) / 1e12
 			ast := e.Adapt(est, globalMax*0.3, 0, 14)
 			if cycle == 0 {
 				start = ast.GlobalLeaves
@@ -206,7 +205,7 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 		if err := e.CheckConsistency(); err != nil {
 			panic(err)
 		}
-		final := e.Comm.AllReduceSum(int64(e.F.NumLeaves()))
+		final := e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 		if final <= start {
 			panic("ZZ-driven distributed adaptation refined nothing")
 		}
@@ -223,8 +222,8 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 				far++
 			}
 		}
-		gNear := e.Comm.AllReduceSum(near)
-		gFar := e.Comm.AllReduceSum(far)
+		gNear := e.Comm.AllReduceSumInt64(near)
+		gFar := e.Comm.AllReduceSumInt64(far)
 		if c.Rank() == 0 && gNear <= gFar {
 			panic("distributed ZZ refinement not concentrated at the corner")
 		}

@@ -37,7 +37,7 @@ func (e *Engine) ZZEstimator(sol *DistSolution) refine.Estimator {
 	}
 	plan := sol.plan
 	if plan == nil {
-		plan = e.buildDofPlan()
+		plan = e.buildDofPlan(e.boundaryFacets())
 	}
 	for _, arr := range [][]float64{gx, gy, gz, w} {
 		plan.sumShared(e.Comm, arr)
