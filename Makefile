@@ -16,13 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-specific static analysis (see internal/lint), all thirteen checks:
+# Project-specific static analysis (see internal/lint), all twelve checks:
 # per-file — map-iteration order in deterministic packages, raw concurrency
 # outside internal/par and internal/kern, float ==, dropped errors, sleeps;
-# flow-aware — rank-gated collectives (deadlocks), impure kern bodies,
-# *Scratch aliasing across concurrency, order-dependent float accumulation;
-# path-sensitive — rank-divergent collective schedules (spmd, per-path trace
-# comparison), allocations in //pared:hotpath functions (hotalloc);
+# flow-aware — impure kern bodies, *Scratch aliasing across concurrency,
+# order-dependent float accumulation; path-sensitive — rank-gated or
+# rank-divergent collective schedules (spmd, per-path trace comparison:
+# deadlocks), allocations in //pared:hotpath functions (hotalloc);
 # value-range — unprovable slice indexes in hotpath functions (bce, checked
 # against the compiler's own elimination) and narrowing casts/shifts whose
 # interval can exceed the target width (intwidth, //pared:narrow verified).

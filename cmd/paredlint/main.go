@@ -19,8 +19,7 @@
 //	-floateq       ==/!= on floats                                (default true)
 //	-errcheck      dropped error returns                          (default true)
 //	-sleep         time.Sleep as synchronization                  (default true)
-//	-collective    rank-gated par.Comm collectives (deadlocks)    (default true)
-//	-spmd          rank-divergent collective schedules (traces)   (default true)
+//	-spmd          rank-gated/divergent collective schedules      (default true)
 //	-kernpure      impure kern.For/ForChunks/Sum bodies           (default true)
 //	-scratchalias  *Scratch buffers shared across concurrency     (default true)
 //	-detfloat      order-dependent float accumulation             (default true)

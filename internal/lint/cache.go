@@ -26,7 +26,7 @@ import (
 
 // cacheVersion is folded into every key; bump it when the diagnostic format
 // or any check's semantics change in a way the check list cannot express.
-const cacheVersion = "pared-lintcache-v4" // v4: boxed collectives gone, AllReduceSumFloat64 added
+const cacheVersion = "pared-lintcache-v5" // v5: collective check folded into spmd
 
 // Cache is a content-addressed store of per-package lint results.
 type Cache struct {
@@ -254,7 +254,7 @@ func (c *Cache) store(key string, diags []Diagnostic) {
 // packages whose keys hit replay their stored diagnostics; the rest are
 // analyzed with the full package set in the program (cross-package facts
 // need every loaded package) and stored for next time. A nil cache degrades
-// to RunTimed.
+// to RunTimed. Stale-allow reporting covers the analyzed packages only.
 func RunCachedTimed(pkgs []*Package, checks []*Check, cache *Cache) ([]Diagnostic, []CheckTiming, CacheStats) {
 	if cache == nil {
 		d, t := RunTimed(pkgs, checks)
@@ -282,7 +282,10 @@ func RunCachedTimed(pkgs []*Package, checks []*Check, cache *Cache) ([]Diagnosti
 		t0 := time.Now()
 		prog := BuildProgram(pkgs)
 		timings = append(timings, CheckTiming{Name: "callgraph", Ms: float64(time.Since(t0).Microseconds()) / 1000})
-		for _, pkg := range pkgs {
+		// Allow tables only for the packages that run checks: a replayed
+		// package's directives are never consulted, so StaleAllows must
+		// not see them as unused.
+		for _, pkg := range miss {
 			if pkg.allows == nil {
 				pkg.buildAllows()
 			}

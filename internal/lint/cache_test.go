@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -61,5 +62,40 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if len(none) != len(cold) {
 		t.Errorf("nil-cache run returned %d diagnostics, want %d", len(none), len(cold))
+	}
+}
+
+// TestCacheReplayNoStaleAllows pins a partial-miss run: the replayed package
+// runs no checks, so its used suppressions must not come back as stale
+// beside a package that misses and is analyzed. Both fixtures carry only
+// used directives, so StaleAllows must report nothing at all.
+func TestCacheReplayNoStaleAllows(t *testing.T) {
+	dir := t.TempDir()
+	checks := []*Check{Sleep, FloatEq}
+	// Each run loads fresh packages, as a new paredlint process would.
+	run := func(fixtures ...string) ([]*Package, CacheStats) {
+		l, err := NewLoader(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pkgs []*Package
+		for _, f := range fixtures {
+			pkg, err := l.LoadDir(filepath.Join("testdata", "src", f))
+			if err != nil || pkg == nil {
+				t.Fatalf("load %s: %v", f, err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		_, _, stats := RunCachedTimed(pkgs, checks, NewCache(dir, l))
+		return pkgs, stats
+	}
+
+	run("sleep")
+	pkgs, stats := run("sleep", "floateq")
+	if stats.Hits != 1 || stats.Misses != 1 {
+		t.Fatalf("want sleep replayed and floateq analyzed (1 hit / 1 miss), got %d/%d", stats.Hits, stats.Misses)
+	}
+	for _, d := range StaleAllows(pkgs, checks) {
+		t.Errorf("used suppression reported stale: %s", d)
 	}
 }

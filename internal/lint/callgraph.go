@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the whole-program context the flow-aware checks
-// (collective, kernpure, scratchalias, detfloat) share: an index of every
+// (spmd, kernpure, scratchalias, detfloat) share: an index of every
 // declared function across the packages of one Run and a CHA-lite call graph
 // over it. "CHA-lite" means:
 //
@@ -57,7 +57,7 @@ var collectiveNames = map[string]bool{
 	// Split is a collective on the PARENT communicator: every parent rank
 	// must call it (colors may differ; the call may not be skipped) or the
 	// subgroup numbering exchange deadlocks. Collectives on the *result* are
-	// scoped to the subgroup — see the membership-guard rule in collective.go.
+	// scoped to the subgroup — see the membership-branch rule in spmd.go.
 	"Split": true,
 }
 
@@ -630,6 +630,14 @@ func (prog *Program) propagateFloatAcc() {
 func (prog *Program) FloatAccParam(fn *types.Func, i int) bool {
 	n := prog.nodes[fn]
 	return n != nil && n.floatAccParams[i]
+}
+
+// lastOf is the final step of a call path ("?" for an empty one).
+func lastOf(path []string) string {
+	if len(path) == 0 {
+		return "?"
+	}
+	return path[len(path)-1]
 }
 
 // displayName renders a function for call-path diagnostics:

@@ -19,8 +19,8 @@ import (
 //   - goto is routed conservatively to Exit (the project style bans goto;
 //     a spurious Exit edge only makes traces more conservative).
 //   - defer statements are modeled at the point of the defer statement, not
-//     at function exit: for collective-trace purposes a deferred collective
-//     is misordered either way and is flagged by the collective check.
+//     at function exit: a deferred collective still enters the trace of
+//     every path through the defer, so rank-gating it still diverges.
 //   - Function literals are NOT inlined into the enclosing CFG; callers
 //     analyze literal bodies as their own CFGs.
 

@@ -101,51 +101,29 @@ func exprRankTainted(p *Pass, e ast.Expr, taint map[*types.Var]bool) bool {
 // commNilCheck recognizes a subgroup-membership test: a *par.Comm variable
 // compared against nil. Split returns nil on the ranks its color excludes
 // (the MPI_UNDEFINED convention), so such a branch partitions ranks by
-// subgroup membership rather than by an arbitrary rank predicate — the
-// collective and spmd checks treat it specially whether or not the variable
-// is rank-tainted (the canonical color computation hides the rank behind
-// control flow, which the data-flow taint cannot see). member reports which
-// arm holds the subgroup members: true for `sub != nil`, false for
-// `sub == nil`.
-func commNilCheck(p *Pass, cond ast.Expr) (v *types.Var, member bool) {
+// subgroup membership rather than by an arbitrary rank predicate — the spmd
+// check treats it specially whether or not the variable is rank-tainted (the
+// canonical color computation hides the rank behind control flow, which the
+// data-flow taint cannot see). Struct fields are not recognized: a nil field
+// is as often an unbuilt lazy comm (`if h.node == nil { h.node = c.Split(…) }`)
+// as an excluded rank, so a field test stays an ordinary data branch. Which
+// arm holds the members (`!=` or `==`) does not matter to the check.
+func commNilCheck(p *Pass, cond ast.Expr) *types.Var {
 	be, ok := unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false
+		return nil
 	}
 	operand := be.X
 	if !p.Info.Types[be.Y].IsNil() {
 		if !p.Info.Types[be.X].IsNil() {
-			return nil, false
+			return nil
 		}
 		operand = be.Y
 	}
-	cv := varOf(p.Info, operand)
-	if cv == nil || !isParComm(cv.Type()) {
-		return nil, false
+	if cv := varOf(p.Info, operand); cv != nil && isParComm(cv.Type()) {
+		return cv
 	}
-	return cv, be.Op == token.NEQ
-}
-
-// terminates conservatively decides whether executing s never falls through
-// to the statement after it (return, break/continue/goto, panic, or a block
-// or if/else ending in one).
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := unparen(call.Fun).(*ast.Ident)
-		return ok && id.Name == "panic"
-	case *ast.BlockStmt:
-		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
-	case *ast.IfStmt:
-		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
-	}
-	return false
+	return nil
 }
 
 // litBindings collects, per enclosing declaration, local variables bound

@@ -27,22 +27,23 @@ func loadFixture(t testing.TB, dir string) *Package {
 	return pkg
 }
 
-// TestSeededBugRankGatedBarrierTwoDeep is the seeded-bug acceptance test:
-// the collective check must catch a Barrier that is rank-gated two calls up
-// (gatedIndirect → doSync → deepSync → Barrier in the collective fixture)
-// and report the full call path.
+// TestSeededBugRankGatedBarrierTwoDeep is the one-sided seeded-bug
+// acceptance test beside TestSeededBugDivergenceTwoDeep: the spmd check must
+// catch a Barrier that is rank-gated two calls up (gatedIndirect → doSync →
+// deepSync → Barrier in the spmd fixture, the other arm running nothing) and
+// report the full call path.
 func TestSeededBugRankGatedBarrierTwoDeep(t *testing.T) {
-	pkg := loadFixture(t, "collective")
-	diags := Run([]*Package{pkg}, []*Check{Collective})
+	pkg := loadFixture(t, "spmd")
+	diags := Run([]*Package{pkg}, []*Check{SPMD})
 	var hit *Diagnostic
 	for i := range diags {
-		if strings.Contains(diags[i].Msg, "doSync") {
+		if len(diags[i].Path) > 0 && diags[i].Path[0] == "spmd.gatedIndirect" {
 			hit = &diags[i]
 			break
 		}
 	}
 	if hit == nil {
-		t.Fatalf("no diagnostic for the rank-gated doSync call; got %d diagnostics: %v", len(diags), diags)
+		t.Fatalf("no diagnostic for gatedIndirect's rank-gated doSync call; got %d diagnostics: %v", len(diags), diags)
 	}
 	path := strings.Join(hit.Path, " -> ")
 	for _, step := range []string{"doSync", "deepSync", "Barrier"} {
@@ -115,7 +116,7 @@ func TestStaleAllowsOnlyForRanChecks(t *testing.T) {
 }
 
 // BenchmarkLintTree measures the full pipeline — parse, type-check, call
-// graph, all nine checks — over the whole repository, so future checks
+// graph, every check — over the whole repository, so future checks
 // cannot silently blow up lint latency (CI separately enforces a 30s wall
 // clock on the paredlint binary).
 func BenchmarkLintTree(b *testing.B) {

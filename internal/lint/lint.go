@@ -111,7 +111,7 @@ type Check struct {
 // built on the whole-program call graph (callgraph.go) and the CFG layer
 // (cfg.go).
 func AllChecks() []*Check {
-	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, Collective, SPMD, KernPure, ScratchAlias, DetFloat, HotAlloc, BCE, IntWidth}
+	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, SPMD, KernPure, ScratchAlias, DetFloat, HotAlloc, BCE, IntWidth}
 }
 
 // Package is one loaded, type-checked package.

@@ -32,7 +32,6 @@ func TestFixtures(t *testing.T) {
 		{FloatEq, "floateq"},
 		{ErrCheck, "errcheck"},
 		{Sleep, "sleep"},
-		{Collective, "collective"},
 		{SPMD, "spmd"},
 		{KernPure, "kernpure"},
 		{ScratchAlias, "scratchalias"},

@@ -11,13 +11,13 @@ import (
 // The spmd check verifies the SPMD collective protocol path-sensitively: any
 // branch whose condition is rank-tainted must rejoin with an identical
 // collective trace on every outgoing path, and any loop whose bound is
-// rank-tainted must not enclose collectives. Where the collective check
-// (PR 3) flags single collective call sites reachable under rank-dependent
-// control, spmd compares whole traces, so the symmetric idiom
+// rank-tainted must not enclose collectives. A collective reachable only
+// under rank-dependent control deadlocks the ranks that skip it; comparing
+// whole traces rather than single call sites also accepts the symmetric idiom
 //
 //	if c.Rank() == root { c.BcastInt64(root, plan) } else { c.BcastInt64(root, nil) }
 //
-// verifies (both paths run [BcastInt64]) while an asymmetric rejoin two calls deep
+// (both paths run [BcastInt64]) while an asymmetric rejoin two calls deep
 // is reported as a counterexample: the two concrete call paths with their
 // mismatched traces.
 //
@@ -39,16 +39,21 @@ import (
 //     recursion contribute opaque events keyed by the callee identity.
 //
 // Function literals are analyzed when invoked (directly, or through a
-// once-bound local); literals passed as callbacks are not executed at their
-// mention — the collective check retains its conservative inline rule for
-// those. Deferred calls are modeled at the defer statement.
+// once-bound local). A literal passed as a call argument, inline or through
+// a once-bound local — the timed(func(){…}) wrapper every P2/P3 phase runs
+// under — is conservatively assumed to run once, at that call. Deferred
+// calls are modeled at the defer statement.
 //
-// Sub-communicators: a branch on `sub != nil` where sub came from Comm.Split
-// is the subgroup-membership predicate (Split hands nil to excluded ranks).
-// Its arms diverge by design — members and non-members run different
-// schedules on different comms — so spmd does not compare them; the
-// collective check enforces that each arm only uses the comm it may
-// (see the membership-guard rule in collective.go).
+// Sub-communicators: a nil test on a *par.Comm variable (`sub != nil`) is
+// the subgroup-membership predicate, since Split hands nil to excluded ranks.
+// It is rank-dependent by construction, whether or not the taint analysis
+// sees the rank behind the color. Its arms diverge by design on the tested
+// comm — members run its collectives, non-members do not — so they are
+// compared with the tested comm's direct collectives dropped: every other
+// comm's schedule must still agree. Collectives reached
+// through a helper call stay in the comparison (the helper may use any comm).
+// A nil test on a struct field (`h.leaders != nil`) is an ordinary data
+// branch: a nil field may just as well be an unbuilt lazy comm.
 
 // collEvent is one element of a collective trace.
 type collEvent struct {
@@ -142,10 +147,12 @@ func (prog *Program) nodeTrace(n *FuncNode) []collEvent {
 }
 
 // spmdFn analyzes one CFG (a function body or a function literal body).
-// Children created for literal bodies share the literal-trace memo.
+// Children created for literal bodies share the literal-trace memo. A view
+// with drop set omits the direct collectives on that comm (see without).
 type spmdFn struct {
 	p        *Pass
 	cfg      *CFG
+	drop     *types.Var
 	bindings map[*types.Var]*ast.FuncLit
 	local    map[*Block][]collEvent
 	tail     map[*Block][]collEvent
@@ -171,12 +178,13 @@ func newSpmdFn(p *Pass, scope ast.Node, cfg *CFG) *spmdFn {
 	}
 }
 
-// child analyzes a nested literal body with its own CFG but shared bindings
-// and literal memo.
+// child analyzes a nested literal body with its own CFG but shared bindings,
+// literal memo and dropped comm.
 func (a *spmdFn) child(cfg *CFG) *spmdFn {
 	return &spmdFn{
 		p:        a.p,
 		cfg:      cfg,
+		drop:     a.drop,
 		bindings: a.bindings,
 		local:    make(map[*Block][]collEvent),
 		tail:     make(map[*Block][]collEvent),
@@ -186,6 +194,17 @@ func (a *spmdFn) child(cfg *CFG) *spmdFn {
 		loopOn:   make(map[*Loop]bool),
 		lits:     a.lits,
 	}
+}
+
+// without is a view of the same CFG whose traces omit the direct collectives
+// on comm v — including those in literals, and before any join, so a loop
+// or nested branch in a member arm that only uses v stays silent. It has its
+// own memos: the filtered traces differ from a's.
+func (a *spmdFn) without(v *types.Var) *spmdFn {
+	f := a.child(a.cfg)
+	f.drop = v
+	f.lits = make(map[*ast.FuncLit][]collEvent)
+	return f
 }
 
 func (a *spmdFn) posStr(pos token.Pos) string {
@@ -220,13 +239,18 @@ func (a *spmdFn) scan(node ast.Node, out *[]collEvent) {
 	ast.Inspect(node, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
-			// Not executed at its mention; invoked literals are spliced by
-			// the CallExpr case below.
+			// Not executed at its mention; invoked literals and callback
+			// arguments are spliced by the CallExpr case below.
 			return false
 		case *ast.CallExpr:
 			a.scan(x.Fun, out)
 			for _, arg := range x.Args {
-				a.scan(arg, out)
+				if lit := resolveBodyArg(a.p, arg, a.bindings); lit != nil {
+					// A callback (timed(func(){…})): assumed run once, here.
+					*out = append(*out, a.litTrace(lit)...)
+				} else {
+					a.scan(arg, out)
+				}
 			}
 			a.callEvents(x, out)
 			return false
@@ -255,6 +279,10 @@ func (a *spmdFn) callEvents(call *ast.CallExpr, out *[]collEvent) {
 		return
 	}
 	if isCollective(fn) {
+		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		if ok && a.drop != nil && varOf(a.p.Info, sel.X) == a.drop {
+			return
+		}
 		*out = append(*out, collEvent{name: fn.Name(), pos: call.Pos()})
 		return
 	}
@@ -428,28 +456,28 @@ func witnessPath(fnName string, traces ...[]collEvent) []string {
 	return []string{fnName}
 }
 
-// checkBlocks reports rank-tainted branches whose successor traces disagree
-// and rank-tainted loop bounds enclosing collectives.
+// checkBlocks reports rank-tainted branches whose successor traces disagree,
+// rank-tainted loop bounds enclosing collectives, and membership branches
+// whose arms disagree on any comm but the tested one.
 func (a *spmdFn) checkBlocks(fnName string, taint map[*types.Var]bool) {
 	for _, b := range a.cfg.Blocks {
 		if len(b.Conds) == 0 {
 			continue
 		}
+		if ifs, ok := b.Term.(*ast.IfStmt); ok {
+			if v := commNilCheck(a.p, ifs.Cond); v != nil {
+				a.checkArms(fnName, b, a.without(v),
+					"subgroup membership branch on "+v.Name()+" diverges the collective schedule outside "+v.Name(),
+					"only collectives on "+v.Name()+" may differ between its members and the excluded ranks")
+				continue
+			}
+		}
 		tainted := false
 		for _, c := range b.Conds {
-			if !exprRankTainted(a.p, c, taint) {
-				continue
+			if exprRankTainted(a.p, c, taint) {
+				tainted = true
+				break
 			}
-			if v, _ := commNilCheck(a.p, c); v != nil {
-				// Subgroup membership test (nil check on a Split result):
-				// the arms diverge by construction — the nil side has no
-				// subgroup schedule to compare. The collective check polices
-				// which comm each arm may use; spmd compares schedules only
-				// among ranks that share them.
-				continue
-			}
-			tainted = true
-			break
 		}
 		if !tainted {
 			continue
@@ -463,19 +491,24 @@ func (a *spmdFn) checkBlocks(fnName string, taint map[*types.Var]bool) {
 			}
 			continue
 		}
-		if len(b.Succs) < 2 {
-			continue
-		}
-		first := a.succContribution(b, b.Succs[0])
-		for _, s := range b.Succs[1:] {
-			c := a.succContribution(b, s)
-			if !equalTraces(first, c) {
-				path := witnessPath(fnName, first, c)
-				a.p.ReportPathf(b.Pos, path,
-					"rank-dependent branch diverges the collective schedule: one path runs %s, another runs %s; every rank must execute the identical collective sequence",
-					renderTrace(trimTrace(first, 6)), renderTrace(trimTrace(c, 6)))
-				break
-			}
+		a.checkArms(fnName, b, a, "rank-dependent branch diverges the collective schedule",
+			"every rank must execute the identical collective sequence")
+	}
+}
+
+// checkArms reports b when the traces view assigns its successors disagree.
+func (a *spmdFn) checkArms(fnName string, b *Block, view *spmdFn, what, rule string) {
+	if len(b.Succs) < 2 {
+		return
+	}
+	first := view.succContribution(b, b.Succs[0])
+	for _, s := range b.Succs[1:] {
+		c := view.succContribution(b, s)
+		if !equalTraces(first, c) {
+			path := witnessPath(fnName, first, c)
+			a.p.ReportPathf(b.Pos, path, "%s: one path runs %s, another runs %s; %s",
+				what, renderTrace(trimTrace(first, 6)), renderTrace(trimTrace(c, 6)), rule)
+			return
 		}
 	}
 }
